@@ -109,14 +109,14 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	faultsFlag := fs.String("faults", "",
 		"arm seeded fault injection, e.g. seed=7,drop=0.02,corrupt=0.01")
 	workersList := fs.String("workers", "",
-		"comma-separated shard-advance worker counts to digest-compare (default 1,4)")
+		"comma-separated worker counts, one digest-compared sweep each (default 1,4; clusters always advance serially)")
 	requireTransition := fs.String("requiretransition", "",
 		"exit nonzero unless this semantics' rule-3 transition depth is finite (CI gate)")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this path")
 	parallel := fs.Int("parallel", 0,
 		"worker goroutines for the harness; workload points fan across this many unless -pointworkers overrides (0 = leave default)")
 	pointWorkers := fs.Int("pointworkers", 0,
-		"goroutines for independent (semantics, depth, load) points — a different axis from -workers, which parallelizes inside one point's cluster (0 = adopt -parallel, 1 = serial)")
+		"goroutines for independent (semantics, depth, load) points (0 = adopt -parallel, 1 = serial)")
 	noMemo := fs.Bool("nomemo", false, "disable the workload-point memo (later -workers runs recompute every point)")
 	noRecycle := fs.Bool("norecycle", false, "disable cluster recycling (every point builds a fresh cluster)")
 	minSpeedup := fs.Float64("minspeedup", 0,

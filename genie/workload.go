@@ -131,18 +131,18 @@ func WithWorkloadSeed(seed uint64) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.Seed = seed }
 }
 
-// WithWorkloadWorkers sets the shard-advance worker counts the sweep is
-// digest-compared across. Default {1, 4}; the first is the reported
-// baseline.
+// WithWorkloadWorkers sets the worker counts the sweep runs at, one
+// digest-compared run each. Default {1, 4}; the first is the reported
+// baseline. The count has no effect on execution: each point's cluster
+// advances serially.
 func WithWorkloadWorkers(workers ...int) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.Workers = workers }
 }
 
 // WithPointWorkers sets the number of goroutines independent
-// (semantics, depth, load) points fan across — a different axis from
-// WithWorkloadWorkers, which parallelizes inside one point's cluster
-// engine. 0 (the default) adopts the package-wide parallelism; 1 walks
-// the grid serially. The digest is byte-identical at any value.
+// (semantics, depth, load) points fan across. 0 (the default) adopts
+// the package-wide parallelism; 1 walks the grid serially. The digest
+// is byte-identical at any value.
 func WithPointWorkers(n int) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.PointWorkers = n }
 }

@@ -12,15 +12,14 @@ import (
 
 // ClusterConfig describes an N-host experimental setup: the same
 // per-host configuration as the pairwise testbed, applied to every
-// host of a topology, advanced by a sharded parallel engine.
+// host of a topology, advanced by a sharded engine.
 type ClusterConfig struct {
 	TestbedConfig
 	// Topo names the hosts and which pairs may open channels. Its wire
 	// parameters override the cost model's base link when nonzero.
 	Topo topo.Spec
-	// Workers is the goroutine count advancing engine shards per
-	// synchronization window; values below 1 mean serial. Results are
-	// bit-identical at any worker count.
+	// Workers is accepted for compatibility and has no effect: the
+	// engine shards advance serially (sim.Cluster).
 	Workers int
 }
 
@@ -60,7 +59,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Topo.FixedUS > 0 {
 		fixed = cfg.Topo.FixedUS
 	}
-	simc, err := sim.NewCluster(cfg.Topo.Hosts, sim.Duration(fixed), cfg.Workers)
+	simc, err := sim.NewCluster(cfg.Topo.Hosts, sim.Duration(fixed))
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +81,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.hostOf[h.Genie] = i
 		// Each host draws faults from its own seed-derived stream: a
 		// shared injector would consume its PRNG in shard execution
-		// order, which the worker count must not influence.
+		// order, which must not influence any host's fault script.
 		var inj *faults.Injector
 		if cfg.Faults.Enabled() {
 			spec := cfg.Faults
@@ -119,9 +118,6 @@ func (c *Cluster) Host(i int) *Host { return c.Hosts[i] }
 
 // Size returns the number of hosts.
 func (c *Cluster) Size() int { return len(c.Hosts) }
-
-// Workers returns the shard-advance worker count.
-func (c *Cluster) Workers() int { return c.Sim.Workers() }
 
 // Injector returns host i's fault injector, nil when faults are off.
 func (c *Cluster) Injector(i int) *faults.Injector { return c.injs[i] }

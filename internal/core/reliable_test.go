@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/checksum"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -253,5 +256,44 @@ func TestRPCOrphanAccounting(t *testing.T) {
 	}
 	if client.Outstanding() != 0 {
 		t.Errorf("outstanding = %d", client.Outstanding())
+	}
+}
+
+// verifyFrameByCopy is verifyFrame's definition: the checksum of a copy
+// of header plus n payload bytes with the checksum field zeroed.
+func verifyFrameByCopy(data []byte, n int) bool {
+	want := binary.BigEndian.Uint16(data[2:])
+	scratch := append([]byte(nil), data[:relHeaderLen+n]...)
+	scratch[2], scratch[3] = 0, 0
+	return checksum.Sum(scratch) == want
+}
+
+// TestVerifyFrameMatchesCopyDefinition checks the in-place verifyFrame
+// against the copy-and-zero definition on seeded random frames: odd and
+// even payload lengths, padding beyond n, and every single-byte
+// corruption of header, payload and padding.
+func TestVerifyFrameMatchesCopyDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 2, 3, 16, 17, 255, 1024, 1499} {
+		payload := make([]byte, n)
+		rng.Read(payload)
+		frame := buildFrame(byte(rng.Intn(3)), rng.Uint32(), payload)
+		pad := make([]byte, rng.Intn(9))
+		rng.Read(pad)
+		frame = append(frame, pad...)
+		if !verifyFrame(frame, n) {
+			t.Fatalf("n=%d: intact frame rejected", n)
+		}
+		for i := range frame {
+			orig := frame[i]
+			frame[i] ^= byte(1 + rng.Intn(255))
+			if got, want := verifyFrame(frame, n), verifyFrameByCopy(frame, n); got != want {
+				t.Fatalf("n=%d: corrupting byte %d: in place %v, copy definition %v", n, i, got, want)
+			}
+			if i >= relHeaderLen+n && !verifyFrame(frame, n) {
+				t.Fatalf("n=%d: corruption in padding byte %d rejected", n, i)
+			}
+			frame[i] = orig
+		}
 	}
 }

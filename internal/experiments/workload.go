@@ -29,15 +29,15 @@ import (
 // the worker counts to compare.
 type WorkloadConfig struct {
 	workload.Config
-	// Workers lists the in-cluster shard-advance worker counts; empty →
-	// 1 and 4.
+	// Workers lists the worker counts to run the sweep at, one
+	// digest-compared run each; empty → 1 and 4. The count has no
+	// effect on execution: each point's cluster advances serially.
 	Workers []int
 	// PointWorkers is the number of goroutines independent (semantics,
-	// depth, load) points fan across — a different axis from Workers,
-	// which parallelizes *inside* one point's cluster engine. 0 adopts
-	// the package-wide parallelism (SetParallelism / geniebench
-	// -parallel, defaulting to GOMAXPROCS); 1 is the strictly serial
-	// walk. Results are byte-identical at any value.
+	// depth, load) points fan across. 0 adopts the package-wide
+	// parallelism (SetParallelism / geniebench -parallel, defaulting to
+	// GOMAXPROCS); 1 is the strictly serial walk. Results are
+	// byte-identical at any value.
 	PointWorkers int
 	// CompareSerialCold, when set, first times the entire verification
 	// run in the PR 8 regime — one point at a time, no memo, no cluster

@@ -352,9 +352,6 @@ type DataPlane interface {
 	// (byte i == byte(i)): a materialized pattern fill on the bytes
 	// plane, a single fresh pattern run on the symbolic plane.
 	NewPayload(n int) Buf
-
-	// materialize installs a frame's initial (zero) backing store.
-	materialize(f *Frame, pageSize int)
 }
 
 type bytesPlane struct{}
@@ -368,9 +365,6 @@ func (bytesPlane) NewPayload(n int) Buf {
 	}
 	return BufBytes(p)
 }
-func (bytesPlane) materialize(f *Frame, pageSize int) {
-	f.data = make([]byte, pageSize)
-}
 
 type symbolicPlane struct{}
 
@@ -378,9 +372,6 @@ func (symbolicPlane) Name() string   { return "symbolic" }
 func (symbolicPlane) Symbolic() bool { return true }
 func (symbolicPlane) NewPayload(n int) Buf {
 	return PatternBuf(NewPatternSource(), 0, n)
-}
-func (symbolicPlane) materialize(f *Frame, pageSize int) {
-	f.runs = []Run{{Src: SrcZero, Len: pageSize}}
 }
 
 // Bytes is the materialized data plane: frames back onto []byte and

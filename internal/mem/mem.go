@@ -34,9 +34,9 @@ type FrameID int
 //     is dropped.
 type Frame struct {
 	id   FrameID
-	data []byte // materialized contents (Bytes plane)
+	data []byte // contents (Bytes plane); nil reads as all zero
 	runs []Run  // provenance runs covering [0, size) (Symbolic plane)
-	size int    // page size, set at materialization
+	size int    // page size, set at first allocation
 
 	inRefs  int // references held by in-flight input operations
 	outRefs int // references held by in-flight output operations
@@ -44,19 +44,36 @@ type Frame struct {
 
 	free     bool
 	attached bool // currently owned by a memory object
-	pristine bool // data freshly materialized (all zero), never handed out
+	pristine bool // never allocated before (all zero), not yet handed out
 }
 
 // ID returns the frame's identifier.
 func (f *Frame) ID() FrameID { return f.id }
 
 // Data returns the frame's backing bytes. The slice aliases the frame:
-// writes through it model DMA or CPU stores into physical memory.
-// Backing stores are materialized lazily: a frame that has never been
-// allocated has no data yet and returns nil. On the symbolic plane
-// frames have no materialized bytes and Data is always nil; use the
-// plane-agnostic accessors (ReadAt, WriteBuf, ...) instead.
-func (f *Frame) Data() []byte { return f.data }
+// writes through it model DMA or CPU stores into physical memory, so
+// Data counts as a first write and materializes the backing store. A
+// frame that has never been allocated has no size yet and returns nil.
+// On the symbolic plane frames have no materialized bytes and Data is
+// always nil; use the plane-agnostic accessors (ReadAt, WriteBuf, ...)
+// instead.
+func (f *Frame) Data() []byte {
+	if f.runs != nil {
+		return nil
+	}
+	return f.writable()
+}
+
+// writable returns the bytes-plane backing store, allocating it on the
+// frame's first write. Until then the frame reads as zeros without
+// holding any host memory: most pool pages of a simulated host are
+// never written.
+func (f *Frame) writable() []byte {
+	if f.data == nil && f.size > 0 {
+		f.data = make([]byte, f.size)
+	}
+	return f.data
+}
 
 // Size returns the frame size in bytes (0 before first allocation).
 func (f *Frame) Size() int { return f.size }
@@ -79,7 +96,7 @@ func (f *Frame) WriteBuf(off int, b Buf) {
 		return
 	}
 	if f.runs == nil {
-		b.ReadAt(f.data[off:off+n], 0)
+		b.ReadAt(f.writable()[off:off+n], 0)
 		return
 	}
 	ins := b.runs
@@ -102,7 +119,9 @@ func (f *Frame) ReadBuf(off, n int) Buf {
 	}
 	if f.runs == nil {
 		out := make([]byte, n)
-		copy(out, f.data[off:])
+		if f.data != nil {
+			copy(out, f.data[off:])
+		}
 		return BufBytes(out)
 	}
 	return Buf{n: n, runs: sliceRuns(f.runs, off, n)}
@@ -120,7 +139,11 @@ func (f *Frame) ReadAt(p []byte, off int) {
 		panic(fmt.Sprintf("mem: ReadAt(%d..%d) overruns %d-byte frame", off, off+len(p), f.size))
 	}
 	if f.runs == nil {
-		copy(p, f.data[off:])
+		if f.data == nil {
+			clear(p)
+		} else {
+			copy(p, f.data[off:])
+		}
 		return
 	}
 	resolveRuns(sliceRuns(f.runs, off, len(p)), p)
@@ -131,7 +154,11 @@ func (f *Frame) ReadAt(p []byte, off int) {
 // on the symbolic plane.
 func (f *Frame) CopyFrom(src *Frame) {
 	if f.runs == nil {
-		copy(f.data, src.data)
+		if src.data == nil {
+			clear(f.data)
+		} else {
+			copy(f.writable(), src.data)
+		}
 		return
 	}
 	f.runs = sliceRuns(src.runs, 0, src.size)
@@ -143,7 +170,9 @@ func (f *Frame) ClearRange(off, n int) {
 		return
 	}
 	if f.runs == nil {
-		clear(f.data[off : off+n])
+		if f.data != nil {
+			clear(f.data[off : off+n])
+		}
 		return
 	}
 	f.runs = spliceRuns(f.runs, f.size, off, []Run{{Src: SrcZero, Len: n}}, n)
@@ -236,11 +265,11 @@ func NewWithPlane(numFrames, pageSize int, plane DataPlane) *PhysMem {
 		frames:   make([]Frame, numFrames),
 		freeList: make([]FrameID, 0, numFrames),
 	}
-	// Frame backing stores are materialized lazily on first allocation:
-	// a sweep that touches 30 frames of a 512-frame machine never pays
-	// for the other 482 pages. Materialized data is zero (machine memory
-	// after power-on), so first-allocation contents match the old eager
-	// backing store exactly.
+	// Frames are zero-fill-on-demand: a frame gets its size at first
+	// allocation and its bytes-plane backing store at its first write,
+	// so a sweep that writes 30 frames of a 512-frame machine never pays
+	// for the other 482 pages. An unwritten frame reads as zero (machine
+	// memory after power-on), exactly what an eager backing store held.
 	for i := range pm.frames {
 		f := &pm.frames[i]
 		f.id = FrameID(i)
@@ -264,8 +293,8 @@ func (pm *PhysMem) resetFreeList() {
 // frames free in canonical allocation order, no I/O references or
 // wires, no reclaimer, zeroed statistics. Frame backing stores already
 // materialized are retained (their contents are stale, exactly like
-// real memory across a reboot), so a Reset machine allocates without
-// touching the allocator slow path again.
+// real memory across a reboot), so a Reset machine rewrites them
+// without allocating again.
 func (pm *PhysMem) Reset() {
 	pm.reclaimer = nil
 	pm.allocFault = nil
@@ -330,10 +359,11 @@ func (pm *PhysMem) SetReclaimer(fn func(need int) int) { pm.reclaimer = fn }
 // injection.
 func (pm *PhysMem) SetAllocFault(fn func() bool) { pm.allocFault = fn }
 
-// alloc removes a frame from the free list and attaches it, lazily
-// materializing its backing store on first attach. It preserves the
-// frame's pristine flag so AllocZeroed can skip redundant clears; the
-// exported wrappers consume the flag before handing the frame out.
+// alloc removes a frame from the free list and attaches it, sizing it
+// (and on the symbolic plane giving it its zero run) on first attach.
+// It preserves the frame's pristine flag so AllocZeroed can skip
+// redundant clears; the exported wrappers consume the flag before
+// handing the frame out.
 func (pm *PhysMem) alloc() (*Frame, error) {
 	if pm.allocFault != nil && pm.allocFault() {
 		pm.stats.FailedAllocs++
@@ -355,9 +385,11 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 	pm.freeList = pm.freeList[:n-1]
 	pm.hwm.Set(len(pm.frames) - len(pm.freeList))
 	f := &pm.frames[id]
-	if f.data == nil && f.runs == nil {
-		pm.plane.materialize(f, pm.pageSize)
+	if f.size == 0 {
 		f.size = pm.pageSize
+		if pm.plane.Symbolic() {
+			f.runs = []Run{{Src: SrcZero, Len: f.size}}
+		}
 		f.pristine = true
 	}
 	f.free = false
@@ -379,9 +411,9 @@ func (pm *PhysMem) Alloc() (*Frame, error) {
 }
 
 // AllocZeroed is Alloc followed by clearing the frame contents, as a
-// kernel must do before mapping a fresh page to user space. A freshly
-// materialized backing store is already zero, so the physical clear is
-// skipped (the count in Stats.Zeroed still advances — the page is
+// kernel must do before mapping a fresh page to user space. A frame
+// allocated for the first time is already zero, so the physical clear
+// is skipped (the count in Stats.Zeroed still advances — the page is
 // handed out zeroed either way).
 func (pm *PhysMem) AllocZeroed() (*Frame, error) {
 	f, err := pm.alloc()

@@ -440,3 +440,143 @@ func TestReset(t *testing.T) {
 		t.Fatal("AllocZeroed returned stale data after Reset")
 	}
 }
+
+// TestUnwrittenFrameReadsZero checks that an allocated, never-written
+// bytes-plane frame reads as zeros through every accessor, whichever
+// allocator handed it out.
+func TestUnwrittenFrameReadsZero(t *testing.T) {
+	pm := New(2, 16)
+	for _, alloc := range []func() (*Frame, error){pm.Alloc, pm.AllocZeroed} {
+		f, err := alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := []byte{1, 2, 3, 4}
+		f.ReadAt(p, 12)
+		for i, b := range p {
+			if b != 0 {
+				t.Fatalf("ReadAt byte %d = %#x, want 0", i, b)
+			}
+		}
+		zero := ZeroBuf(16)
+		if got := f.ReadBuf(0, 16); !got.Equal(zero) {
+			t.Fatalf("ReadBuf = %v, want zeros", got.Resolve())
+		}
+		if got := f.SnapshotBuf(); !got.Equal(zero) {
+			t.Fatalf("SnapshotBuf = %v, want zeros", got.Resolve())
+		}
+		if got := GatherFrames([]*Frame{f}, 3, 10); !got.Equal(ZeroBuf(10)) {
+			t.Fatalf("GatherFrames = %v, want zeros", got.Resolve())
+		}
+		if f.data != nil {
+			t.Fatal("reads materialized the backing store")
+		}
+		if got := f.Data(); len(got) != 16 || !BufBytes(got).Equal(zero) {
+			t.Fatalf("Data = %v, want 16 zero bytes", got)
+		}
+	}
+}
+
+// TestCopyFromUnwrittenSourceZeroes checks that copying an unwritten
+// frame over a written one leaves the destination all zero, without
+// materializing the source.
+func TestCopyFromUnwrittenSourceZeroes(t *testing.T) {
+	pm := New(2, 16)
+	dst, _ := pm.Alloc()
+	src, _ := pm.Alloc()
+	dst.WriteAt(0, []byte("0123456789abcdef"))
+	dst.CopyFrom(src)
+	if got := dst.ReadBuf(0, 16); !got.Equal(ZeroBuf(16)) {
+		t.Fatalf("destination after CopyFrom = %q, want zeros", got.Resolve())
+	}
+	if src.data != nil {
+		t.Fatal("CopyFrom materialized its source")
+	}
+}
+
+// TestFrameMaterializesOnFirstWrite checks that no read, clear, zeroing
+// allocation, or copy from an unwritten frame gives a frame a backing
+// store, and that its first write does.
+func TestFrameMaterializesOnFirstWrite(t *testing.T) {
+	pm := New(2, 16)
+	f, _ := pm.AllocZeroed()
+	g, _ := pm.Alloc()
+	f.ReadAt(make([]byte, 4), 0)
+	f.ReadBuf(2, 8)
+	f.ClearRange(0, 16)
+	f.CopyFrom(g)
+	f.WriteBuf(5, Buf{})
+	pm.Release(f)
+	f, _ = pm.AllocZeroed()
+	if f.data != nil || g.data != nil {
+		t.Fatal("frame materialized before its first write")
+	}
+	if f.Size() != 16 {
+		t.Fatalf("Size = %d before first write, want 16", f.Size())
+	}
+	f.WriteAt(15, []byte{0x42})
+	if len(f.data) != 16 {
+		t.Fatalf("first write gave a %d-byte backing store, want 16", len(f.data))
+	}
+	want := append(make([]byte, 15), 0x42)
+	if got := f.ReadBuf(0, 16); !got.Equal(BufBytes(want)) {
+		t.Fatalf("frame after first write = %v, want %v", got.Resolve(), want)
+	}
+	if g.data != nil {
+		t.Fatal("writing one frame materialized another")
+	}
+}
+
+// TestResetMatchesFresh replays one allocation script on a fresh
+// PhysMem and on a used PhysMem after Reset: frame IDs and Stats must
+// match step for step.
+func TestResetMatchesFresh(t *testing.T) {
+	script := func(pm *PhysMem) ([]FrameID, []Stats) {
+		var ids []FrameID
+		var snaps []Stats
+		var held []*Frame
+		for i := 0; i < 6; i++ {
+			alloc := pm.Alloc
+			if i%2 == 0 {
+				alloc = pm.AllocZeroed
+			}
+			f, err := alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				f.WriteAt(i, []byte{byte(i + 1)})
+			}
+			ids = append(ids, f.ID())
+			held = append(held, f)
+			snaps = append(snaps, pm.Stats())
+		}
+		pm.RefInput(held[1])
+		pm.Release(held[1])
+		pm.Release(held[4])
+		pm.UnrefInput(held[1])
+		for i := 0; i < 3; i++ {
+			f, err := pm.AllocZeroed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, f.ID())
+			snaps = append(snaps, pm.Stats())
+		}
+		return ids, snaps
+	}
+	wantIDs, wantStats := script(New(8, 16))
+	pm := New(8, 16)
+	script(pm)
+	pm.Reset()
+	gotIDs, gotStats := script(pm)
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] || gotStats[i] != wantStats[i] {
+			t.Fatalf("step %d: Reset gave frame %d stats %+v, fresh gave frame %d stats %+v",
+				i, gotIDs[i], gotStats[i], wantIDs[i], wantStats[i])
+		}
+	}
+	if err := pm.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -19,11 +19,11 @@ import (
 // serializes frames one at a time: concurrent senders converging on one
 // host (incast) queue behind each other on that port's busyUntil. The
 // egress state lives on the destination's shard and is only touched by
-// events running there, so it needs no locking; contention is resolved
-// in the destination engine's deterministic (time, seq) order.
+// events running there; contention is resolved in the destination
+// engine's deterministic (time, seq) order.
 //
-// Cross-shard hops go through the xpost function — sim.Cluster.Post in
-// parallel runs, or a direct ScheduleAt for a single shared engine —
+// Cross-shard hops go through the xpost function — sim.Cluster.Post on
+// a sharded cluster, or a direct ScheduleAt for a single shared engine —
 // always at times at least the fixed wire latency in the future, which
 // is exactly the cluster's conservative lookahead.
 type Fabric struct {

@@ -12,9 +12,9 @@ import (
 
 // newFabricHosts attaches n EarlyDemux NICs to a fabric, each on its own
 // engine shard from a cluster, and returns everything wired with Post.
-func newFabricHosts(t *testing.T, n, workers int, perByte, fixed float64) (*sim.Cluster, *Fabric, []*NIC) {
+func newFabricHosts(t *testing.T, n int, perByte, fixed float64) (*sim.Cluster, *Fabric, []*NIC) {
 	t.Helper()
-	c, err := sim.NewCluster(n, sim.Duration(fixed), workers)
+	c, err := sim.NewCluster(n, sim.Duration(fixed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func newFabricHosts(t *testing.T, n, workers int, perByte, fixed float64) (*sim.
 // time is sender serialization + fixed latency + egress serialization.
 func TestFabricRoutedDelivery(t *testing.T) {
 	const perByte, fixed = 0.0598, 130.0
-	c, f, nics := newFabricHosts(t, 3, 1, perByte, fixed)
+	c, f, nics := newFabricHosts(t, 3, perByte, fixed)
 	if err := f.Route(0, 5, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFabricRoutedDelivery(t *testing.T) {
 // TestFabricNoRoute pins the error for transmitting on a port with no
 // installed circuit, and for out-of-range route installs.
 func TestFabricNoRoute(t *testing.T) {
-	_, f, nics := newFabricHosts(t, 2, 1, 0.05, 100)
+	_, f, nics := newFabricHosts(t, 2, 0.05, 100)
 	if err := nics[0].Transmit(9, []byte("x"), nil); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
@@ -98,54 +98,38 @@ func TestFabricNoRoute(t *testing.T) {
 
 // TestFabricIncastSerializesEgress has every other host converge on host
 // 0 simultaneously: frames must queue behind each other on host 0's
-// egress port, and the arrival schedule must be identical at any worker
-// count — the switch resolves contention in the destination engine's
-// deterministic order, not in goroutine order.
+// egress port, one serialization time apart — the switch resolves
+// contention in the destination engine's deterministic order.
 func TestFabricIncastSerializesEgress(t *testing.T) {
 	const senders = 6
 	const perByte, fixed = 0.1, 100.0
 	const size = 1000
-	run := func(workers int) []sim.Time {
-		c, f, nics := newFabricHosts(t, senders+1, workers, perByte, fixed)
-		for s := 1; s <= senders; s++ {
-			if err := f.Route(s, s, 0); err != nil {
-				t.Fatal(err)
-			}
-			nics[0].PostInput(s, &hostBuffer{data: make([]byte, size)})
+	c, f, nics := newFabricHosts(t, senders+1, perByte, fixed)
+	for s := 1; s <= senders; s++ {
+		if err := f.Route(s, s, 0); err != nil {
+			t.Fatal(err)
 		}
-		var arrivals []sim.Time
-		nics[0].SetRxHandler(func(p Packet) { arrivals = append(arrivals, p.Arrival) })
-		payload := make([]byte, size)
-		for s := 1; s <= senders; s++ {
-			if err := nics[s].Transmit(s, payload, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Run()
-		return arrivals
+		nics[0].PostInput(s, &hostBuffer{data: make([]byte, size)})
 	}
-	serial := run(1)
-	if len(serial) != senders {
-		t.Fatalf("delivered %d frames, want %d", len(serial), senders)
+	var arrivals []sim.Time
+	nics[0].SetRxHandler(func(p Packet) { arrivals = append(arrivals, p.Arrival) })
+	payload := make([]byte, size)
+	for s := 1; s <= senders; s++ {
+		if err := nics[s].Transmit(s, payload, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run()
+	if len(arrivals) != senders {
+		t.Fatalf("delivered %d frames, want %d", len(arrivals), senders)
 	}
 	// All frames reach the switch at the same instant; the egress port
 	// then spaces deliveries exactly one serialization time apart.
 	first := sim.Time(perByte*size + fixed + perByte*size)
-	for i, at := range serial {
+	for i, at := range arrivals {
 		want := first + sim.Time(float64(i)*perByte*size)
 		if math.Abs(float64(at-want)) > 1e-6 {
 			t.Fatalf("arrival %d = %v, want %v", i, at, want)
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d delivered %d frames, want %d", workers, len(got), len(serial))
-		}
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d arrival %d = %v, serial %v", workers, i, got[i], serial[i])
-			}
 		}
 	}
 }

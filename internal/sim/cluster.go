@@ -1,12 +1,8 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// Cluster advances N engine shards concurrently under conservative
+// Cluster advances N engine shards under conservative
 // synchronization. Each shard is an independent Engine — typically one
 // simulated host — and all cross-shard interaction goes through Post,
 // which stages a closure for delivery on the destination shard.
@@ -21,19 +17,31 @@ import (
 // beyond the bound. At the barrier the staged cross-posts are drained
 // into their destination shards in a fixed (destination, source, send
 // order) sequence, so event sequence numbers — and therefore tie-break
-// order — are identical no matter how many worker goroutines ran the
-// window. That is the whole determinism argument: shards are
-// sequentially deterministic, windows make them independent, and the
-// single-threaded drain makes the merge order canonical.
+// order — are canonical. That is the whole determinism argument:
+// shards are sequentially deterministic, windows make them
+// independent, and the drain makes the merge order canonical.
+//
+// Windows run serially on the caller's goroutine. A window carries too
+// little work (about a dozen engine steps in the closed-loop workloads)
+// for handing shards to worker goroutines to pay for itself; the
+// window structure stays because it is what makes cross-shard delivery
+// order canonical.
 //
 // Null messages are never needed: the window bound is computed from
 // global state between barriers rather than negotiated pairwise.
 type Cluster struct {
 	shards    []*Engine
 	lookahead Duration
-	workers   int
 	outbox    [][][]xpost // [src][dst] staged cross-shard posts
-	claim     atomic.Int64
+	stats     ClusterStats
+}
+
+// ClusterStats counts a cluster's window loop since construction or
+// the last Reset.
+type ClusterStats struct {
+	Windows uint64 // barrier windows run
+	Steps   uint64 // engine steps fired inside windows, all shards
+	Drained uint64 // cross-shard posts drained into destination shards
 }
 
 // xpost is one staged cross-shard delivery.
@@ -43,27 +51,19 @@ type xpost struct {
 }
 
 // NewCluster builds a cluster of n fresh shards. The lookahead must be
-// positive — conservative synchronization extracts its parallelism
-// entirely from the guarantee that cross-shard effects lag by at least
-// this much, and a zero lookahead would serialize to nothing. workers
-// is the number of goroutines used per window, clamped to [1, n].
-func NewCluster(n int, lookahead Duration, workers int) (*Cluster, error) {
+// positive: it is the guarantee that cross-shard effects lag by at
+// least this much, which is what makes shards independent within a
+// window.
+func NewCluster(n int, lookahead Duration) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: cluster needs at least 1 shard, got %d", n)
 	}
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("sim: cluster lookahead must be positive, got %v", lookahead)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
 	c := &Cluster{
 		shards:    make([]*Engine, n),
 		lookahead: lookahead,
-		workers:   workers,
 		outbox:    make([][][]xpost, n),
 	}
 	for i := range c.shards {
@@ -81,11 +81,11 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // must go through Post.
 func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 
-// Workers returns the worker count used per window.
-func (c *Cluster) Workers() int { return c.workers }
-
 // Lookahead returns the conservative window width.
 func (c *Cluster) Lookahead() Duration { return c.lookahead }
+
+// Stats returns the window-loop counters.
+func (c *Cluster) Stats() ClusterStats { return c.stats }
 
 // Now returns the maximum clock value across shards.
 func (c *Cluster) Now() Time {
@@ -100,9 +100,7 @@ func (c *Cluster) Now() Time {
 
 // Post stages fn for execution at time at on shard dst. src names the
 // shard (or, between Run calls, the host) on whose behalf the post is
-// made; each (src, dst) outbox row is written only by src's executor,
-// which is what makes Post safe to call from inside a running window
-// without locks. Deliveries are applied at the next barrier.
+// made. Deliveries are applied at the next barrier.
 func (c *Cluster) Post(src, dst int, at Time, fn func()) {
 	c.outbox[src][dst] = append(c.outbox[src][dst], xpost{at: at, fn: fn})
 }
@@ -115,74 +113,28 @@ func (c *Cluster) Run() Time {
 	// Posts staged at app time carry no in-window causality guarantee;
 	// drain them unchecked before the first window forms.
 	c.drain(0, false)
-	if c.workers > 1 {
-		c.runParallel()
-	} else {
-		for {
-			next, ok := c.nextEvent()
-			if !ok {
-				break
-			}
-			bound := next.Add(c.lookahead)
-			for _, s := range c.shards {
-				s.RunBefore(bound)
-			}
-			c.drain(bound, true)
-		}
-	}
-	return c.Now()
-}
-
-// runParallel is Run's window loop with a persistent worker pool.
-// Workers claim shards off a shared atomic counter, so shard→worker
-// assignment is load-balanced and irrelevant to results: shards are
-// independent within a window, and the merge happens single-threaded
-// in drain.
-func (c *Cluster) runParallel() {
-	work := make(chan Time)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(c.workers)
-	for i := 0; i < c.workers; i++ {
-		go func() {
-			defer wg.Done()
-			for bound := range work {
-				for {
-					s := int(c.claim.Add(1)) - 1
-					if s >= len(c.shards) {
-						break
-					}
-					c.shards[s].RunBefore(bound)
-				}
-				done <- struct{}{}
-			}
-		}()
-	}
 	for {
 		next, ok := c.nextEvent()
 		if !ok {
 			break
 		}
 		bound := next.Add(c.lookahead)
-		c.claim.Store(0)
-		for i := 0; i < c.workers; i++ {
-			work <- bound
+		for _, s := range c.shards {
+			c.stats.Steps += uint64(s.RunBefore(bound))
 		}
-		for i := 0; i < c.workers; i++ {
-			<-done
-		}
+		c.stats.Windows++
 		c.drain(bound, true)
 	}
-	close(work)
-	wg.Wait()
+	return c.Now()
 }
 
 // Reset returns the cluster to its post-construction state: every shard
 // engine rewinds to time zero with no pending events (retaining its
 // event arena, free list, and wheel backings warm), and every staged
-// cross-shard post is discarded. Lookahead and worker count are
-// construction-time properties and survive. A Reset cluster advances a
-// subsequent simulation bit-identically to a freshly built one.
+// cross-shard post is discarded, and the counters clear. The lookahead
+// is a construction-time property and survives. A Reset cluster
+// advances a subsequent simulation bit-identically to a freshly built
+// one.
 func (c *Cluster) Reset() {
 	for _, s := range c.shards {
 		s.Reset()
@@ -192,7 +144,7 @@ func (c *Cluster) Reset() {
 			c.outbox[src][dst] = c.outbox[src][dst][:0]
 		}
 	}
-	c.claim.Store(0)
+	c.stats = ClusterStats{}
 }
 
 // nextEvent returns the earliest live pending event time across shards.
@@ -228,6 +180,7 @@ func (c *Cluster) drain(bound Time, check bool) {
 				}
 				eng.ScheduleAt(p.at, p.fn)
 			}
+			c.stats.Drained += uint64(len(row))
 			c.outbox[src][dst] = row[:0]
 		}
 	}

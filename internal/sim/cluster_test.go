@@ -8,36 +8,34 @@ import (
 )
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0, 10, 1); err == nil {
+	if _, err := NewCluster(0, 10); err == nil {
 		t.Fatal("0 shards accepted")
 	}
-	if _, err := NewCluster(4, 0, 1); err == nil {
+	if _, err := NewCluster(4, 0); err == nil {
 		t.Fatal("zero lookahead accepted")
 	}
-	if _, err := NewCluster(4, -5, 1); err == nil {
+	if _, err := NewCluster(4, -5); err == nil {
 		t.Fatal("negative lookahead accepted")
 	}
-	c, err := NewCluster(4, 10, 99)
+	c, err := NewCluster(4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers() != 4 {
-		t.Fatalf("workers = %d, want clamp to 4 shards", c.Workers())
+	if c.Shards() != 4 || c.Lookahead() != 10 {
+		t.Fatalf("shards = %d lookahead = %v, want 4 and 10", c.Shards(), c.Lookahead())
 	}
 }
 
-// clusterScript drives a seeded random cross-shard workload and returns
-// a log of every fired event as one string. Each shard runs a chain of
-// local events; some events post work to a random other shard at a
-// cross-shard delay of at least the lookahead. The log must be
-// identical at any worker count.
-func clusterScript(t *testing.T, shards, workers int, seed int64) string {
-	t.Helper()
-	const lookahead = Duration(130)
-	c, err := NewCluster(shards, lookahead, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+// scriptLookahead is the window width clusterScript assumes.
+const scriptLookahead = Duration(130)
+
+// clusterScript drives a seeded random cross-shard workload on c and
+// returns a log of every fired event as one string. Each shard runs a
+// chain of local events; some events post work to a random other shard
+// at a cross-shard delay of at least the lookahead.
+func clusterScript(c *Cluster, seed int64) string {
+	const lookahead = scriptLookahead
+	shards := c.Shards()
 	var logs = make([][]string, shards)
 	var step func(shard, depth, stream int)
 	step = func(shard, depth, stream int) {
@@ -77,18 +75,56 @@ func clusterScript(t *testing.T, shards, workers int, seed int64) string {
 	return sb.String()
 }
 
-// TestClusterDeterministicAcrossWorkers runs the same seeded cross-shard
-// script serial and parallel; per-shard event logs (order and times)
-// must be byte-identical. Run under -race in CI this also exercises the
-// window barrier for data races.
-func TestClusterDeterministicAcrossWorkers(t *testing.T) {
+// TestClusterResetReplaysScript runs the same seeded cross-shard script
+// on a fresh cluster and again on that cluster after Reset; the
+// per-shard event logs (order and times) and the window counters must
+// be identical.
+func TestClusterResetReplaysScript(t *testing.T) {
 	for _, seed := range []int64{1, 42, 7777} {
-		serial := clusterScript(t, 8, 1, seed)
-		for _, workers := range []int{2, 4, 8} {
-			if got := clusterScript(t, 8, workers, seed); got != serial {
-				t.Fatalf("seed %d: workers=%d log differs from serial", seed, workers)
-			}
+		c, err := NewCluster(8, scriptLookahead)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fresh, freshStats := clusterScript(c, seed), c.Stats()
+		if freshStats.Windows == 0 || freshStats.Steps == 0 || freshStats.Drained == 0 {
+			t.Fatalf("seed %d: script left counters at %+v", seed, freshStats)
+		}
+		c.Reset()
+		if got := c.Stats(); got != (ClusterStats{}) {
+			t.Fatalf("seed %d: Reset left counters at %+v", seed, got)
+		}
+		if got := clusterScript(c, seed); got != fresh {
+			t.Fatalf("seed %d: log after Reset differs from the fresh cluster's", seed)
+		}
+		if got := c.Stats(); got != freshStats {
+			t.Fatalf("seed %d: counters after Reset %+v, fresh %+v", seed, got, freshStats)
+		}
+	}
+}
+
+// TestClusterStats pins the window counters on a hand-traced run: one
+// app-time post, two local events in the first window, and one
+// cross-shard post that forms a second window.
+func TestClusterStats(t *testing.T) {
+	c, err := NewCluster(2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Post(1, 0, 5, func() {})
+	c.Shard(0).Schedule(20, func() {
+		c.Post(0, 1, c.Shard(0).Now().Add(130), func() {})
+	})
+	// Window 1 is [5, 105): shard 0 fires the app-time post at 5 and
+	// the local event at 20. Window 2 is [150, 250): shard 1 fires the
+	// cross post.
+	c.Run()
+	want := ClusterStats{Windows: 2, Steps: 3, Drained: 2}
+	if got := c.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+	c.Run()
+	if got := c.Stats(); got != want {
+		t.Fatalf("idle Run moved stats to %+v, want %+v", got, want)
 	}
 }
 
@@ -96,7 +132,7 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 // cross-shard post landing inside the current window panics instead of
 // silently racing.
 func TestClusterCausalityCheck(t *testing.T) {
-	c, err := NewCluster(2, 100, 1)
+	c, err := NewCluster(2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +152,7 @@ func TestClusterCausalityCheck(t *testing.T) {
 // posts between Run calls are applied unchecked, and Run can be called
 // repeatedly as quiescent phases alternate with event phases.
 func TestClusterRepeatedRuns(t *testing.T) {
-	c, err := NewCluster(3, 50, 2)
+	c, err := NewCluster(3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,11 @@ func (w *wheel) init() {
 	backing := make([]int32, (wheelL0Slots+wheelL1Slots)*wheelSlotCap)
 	for i := range w.l0 {
 		off := i * wheelSlotCap
-		w.l0[i] = backing[off:off : off+wheelSlotCap]
+		w.l0[i] = backing[off : off : off+wheelSlotCap]
 	}
 	for i := range w.l1 {
 		off := (wheelL0Slots + i) * wheelSlotCap
-		w.l1[i] = backing[off:off : off+wheelSlotCap]
+		w.l1[i] = backing[off : off : off+wheelSlotCap]
 	}
 }
 

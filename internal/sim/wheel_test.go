@@ -27,8 +27,8 @@ func (h wheelRefHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h wheelRefHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *wheelRefHeap) Push(x any)        { *h = append(*h, x.(*wheelRefEvent)) }
+func (h wheelRefHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *wheelRefHeap) Push(x any)   { *h = append(*h, x.(*wheelRefEvent)) }
 func (h *wheelRefHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -209,10 +209,10 @@ func TestWheelRunBeforeExcludesBound(t *testing.T) {
 // Reset recycles all of it.
 func TestWheelResetDrainsAllStores(t *testing.T) {
 	e := New()
-	e.Schedule(1, func() {})        // level 0
-	e.Schedule(50_000, func() {})   // level 1
+	e.Schedule(1, func() {})          // level 0
+	e.Schedule(50_000, func() {})     // level 1
 	e.Schedule(10_000_000, func() {}) // far heap
-	e.Step()                        // pour + fire one, leaving stores warm
+	e.Step()                          // pour + fire one, leaving stores warm
 	e.Schedule(2, func() {})
 	if e.Pending() != 3 {
 		t.Fatalf("pending = %d, want 3", e.Pending())

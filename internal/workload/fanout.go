@@ -125,9 +125,9 @@ func (c *foClient) leg(op int) {
 }
 
 // runFanOut executes one fan-out operating point.
-func runFanOut(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func runFanOut(cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	hosts := cfg.Clients + 1
-	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), workers)
+	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts))
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +143,8 @@ func runFanOut(cfg Config, sem core.Semantics, depth int, load float64, workers 
 		if err != nil {
 			return nil, err
 		}
-		// Each server runs on its own shard, so each gets a private
-		// response buffer — a shared one would race across workers.
+		// Each server runs on its own shard and owns a private
+		// response buffer.
 		resp := make([]byte, cfg.MsgBytes)
 		fillPayload(resp)
 		rSrv.OnDeliver(func(_ uint32, payload []byte) {

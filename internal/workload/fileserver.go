@@ -127,9 +127,9 @@ func (c *fsClient) next(op int) {
 }
 
 // runFileServer executes one file-server operating point.
-func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func runFileServer(cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	hosts := cfg.Clients + 1
-	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), workers)
+	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts))
 	if err != nil {
 		return nil, err
 	}

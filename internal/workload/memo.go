@@ -10,13 +10,12 @@ import (
 
 // The workload-point memo: a sweep point is a pure function of the
 // workload configuration and its (semantics, depth, load) coordinates —
-// and of nothing else. In particular the in-cluster shard-advance
-// worker count is *not* part of the identity: the whole determinism
-// contract of the cluster engine is that any worker count simulates
-// bit-identically, so RunWorkload's multi-worker digest comparison can
-// simulate each point once and let the other worker counts verify
-// against the memo instead of recomputing — the default {1, 4}-worker
-// verification run costs ~1x rather than ~2x the sweep. The memo is
+// and of nothing else. In particular the sweep's worker count is *not*
+// part of the identity (it has no effect on execution), so
+// RunWorkload's digest comparison across worker counts simulates each
+// point once and lets the other worker counts verify against the memo
+// instead of recomputing — the default {1, 4}-worker verification run
+// costs ~1x rather than ~2x the sweep. The memo is
 // lock-striped and single-flight, exactly like the measurement cache on
 // the pairwise path: racing point workers asking for the same point
 // block on the in-flight entry instead of computing it twice.
@@ -149,11 +148,9 @@ func memoShardIndex(k *pointKey) uint64 {
 // memoPoint returns the memoized raw observations for the point,
 // computing them on a miss. Errors are memoized too: the simulation is
 // deterministic, so a failing point fails identically on every probe.
-// workers is deliberately absent from the key — points are
-// worker-count invariant, and that is the point.
-func memoPoint(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func memoPoint(cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	if pointMemoOff.Load() {
-		return computePoint(cfg, sem, depth, load, workers)
+		return computePoint(cfg, sem, depth, load)
 	}
 	key := memoKeyFor(cfg, sem, depth, load)
 	sh := &pointMemo[memoShardIndex(&key)]
@@ -173,7 +170,7 @@ func memoPoint(cfg Config, sem core.Semantics, depth int, load float64, workers 
 	sh.entries[key] = e
 	sh.mu.Unlock()
 	memoMisses.Add(1)
-	e.raw, e.err = computePoint(cfg, sem, depth, load, workers)
+	e.raw, e.err = computePoint(cfg, sem, depth, load)
 	close(e.done)
 	return e.raw, e.err
 }

@@ -28,8 +28,7 @@ import (
 // clusterKey is the comparable identity of a cluster configuration:
 // clusters with equal keys are interchangeable after Reset. The cost
 // model enters by content fingerprint and the topology by canonical
-// string, because neither is comparable by value; the worker count is
-// part of the key because sim.Cluster fixes it at construction.
+// string, because neither is comparable by value.
 type clusterKey struct {
 	model      uint64
 	buffering  netsim.InputBuffering
@@ -43,7 +42,6 @@ type clusterKey struct {
 	genie      core.Config
 	faults     faults.Spec
 	topo       string
-	workers    int
 }
 
 // keyFor normalizes the configuration the same way NewCluster will, so
@@ -85,7 +83,6 @@ func keyFor(cfg core.ClusterConfig) clusterKey {
 		faults:     cfg.Faults,
 		topo: fmt.Sprintf("%d/%v/%x/%x", cfg.Topo.Hosts, cfg.Topo.Pairs,
 			math.Float64bits(cfg.Topo.PerByteUS), math.Float64bits(cfg.Topo.FixedUS)),
-		workers: cfg.Workers,
 	}
 }
 

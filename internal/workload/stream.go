@@ -91,10 +91,10 @@ func (s *streamSender) onSettled(seq uint32, acked bool) {
 }
 
 // runStream executes one streaming operating point.
-func runStream(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func runStream(cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	// The swept depth is the sender-side queue; the channel window is
 	// sized out of the way so the queue is the binding constraint.
-	c, release, err := clusterFor(cfg, 4*cfg.Window+8, 1, topo.Pair(), workers)
+	c, release, err := clusterFor(cfg, 4*cfg.Window+8, 1, topo.Pair())
 	if err != nil {
 		return nil, err
 	}

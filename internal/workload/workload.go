@@ -10,7 +10,7 @@
 // high-water mark), and the depth at which it stops doing so is a
 // per-semantics capacity-planning number. This package locates that
 // transition reproducibly: every operating point is a deterministic
-// simulation, bit-identical at any worker count.
+// simulation.
 //
 // Three scenarios share the machinery:
 //
@@ -253,14 +253,14 @@ type pointRaw struct {
 	framesHWM   int
 	queueHWM    int
 	// hostStats folds per-host adapter and framework stat structs, in
-	// host order, formatted — any worker-count-dependent perturbation of
-	// a counter lands in the digest.
+	// host order, formatted — any perturbation of a counter lands in the
+	// digest.
 	hostStats []string
 }
 
-// Run executes the full sweep at the given in-cluster worker count,
-// walking the (semantics, depth, load) grid one point at a time. It is
-// RunParallel with a single point worker.
+// Run executes the full sweep, walking the (semantics, depth, load)
+// grid one point at a time. It is RunParallel with a single point
+// worker; workers has no effect.
 func Run(cfg Config, workers int) (*Result, error) {
 	return RunParallel(cfg, workers, 1)
 }
@@ -280,9 +280,8 @@ type gridPoint struct {
 // results land in index-i storage, so after the fan-out the digest is
 // folded serially in canonical grid order: the Result (Digest included)
 // is byte-identical to the serial sweep at any point-worker count.
-// workers is the in-cluster shard-advance worker count each point's
-// cluster engine uses — a different axis entirely, and equally unable
-// to perturb results.
+// workers is accepted for compatibility and has no effect: every
+// point's cluster advances its shards serially.
 func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -300,7 +299,7 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	errs := make([]error, len(grid))
 	runCell := func(i int) {
 		g := grid[i]
-		raws[i], errs[i] = memoPoint(cfg, g.sem, g.depth, g.load, workers)
+		raws[i], errs[i] = memoPoint(cfg, g.sem, g.depth, g.load)
 	}
 	if pw := resolvePointWorkers(pointWorkers, len(grid)); pw == 1 {
 		for i := range grid {
@@ -420,14 +419,14 @@ func fanOutPoints(n, pw int, fn func(i int), errs []error) {
 }
 
 // computePoint dispatches one operating point to its scenario runner.
-func computePoint(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func computePoint(cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	switch cfg.Scenario {
 	case FileServer:
-		return runFileServer(cfg, sem, depth, load, workers)
+		return runFileServer(cfg, sem, depth, load)
 	case Stream:
-		return runStream(cfg, sem, depth, load, workers)
+		return runStream(cfg, sem, depth, load)
 	case FanOut:
-		return runFanOut(cfg, sem, depth, load, workers)
+		return runFanOut(cfg, sem, depth, load)
 	}
 	return nil, fmt.Errorf("workload: unknown scenario %q", cfg.Scenario)
 }
@@ -518,8 +517,7 @@ func foldPoint(d *digest.Digest, sem string, pt *Point, raw *pointRaw) {
 
 // jitter derives a deterministic per-(client, op) pacing offset from
 // the config seed — a splitmix64 finalizer, a pure function with no
-// shared stream, so no execution order (and no worker count) can
-// perturb it.
+// shared stream, so no execution order can perturb it.
 func jitter(seed uint64, client, op int) uint64 {
 	z := seed + 0x9E3779B97F4A7C15*uint64(client*65537+op+1)
 	z ^= z >> 30
@@ -565,7 +563,7 @@ func pagesPerMsg(msgBytes, pageSize int) int {
 // (depthMsgs, in messages, across endpoints channels on the hottest
 // host): the sweep must bind at the window, not at an accidental
 // allocator ceiling.
-func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers int) (*core.Cluster, func(), error) {
+func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec) (*core.Cluster, func(), error) {
 	gcfg := core.DefaultConfig()
 	pageSize := 4096
 	ppm := pagesPerMsg(cfg.MsgBytes, pageSize)
@@ -580,8 +578,7 @@ func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers in
 			Genie:         gcfg,
 			Faults:        cfg.Faults,
 		},
-		Topo:    spec,
-		Workers: workers,
+		Topo: spec,
 	}
 	c, err := acquireCluster(ccfg)
 	if err != nil {
