@@ -11,12 +11,12 @@ import (
 // four-host ring exchanging halos both directions for two rounds.
 func TestClusterFacadeRing(t *testing.T) {
 	const hosts = 4
-	c, err := genie.NewCluster(genie.RingTopology(hosts), 2)
+	c, err := genie.NewCluster(genie.RingTopology(hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != hosts || c.Workers() != 2 {
-		t.Fatalf("size=%d workers=%d", c.Size(), c.Workers())
+	if c.Size() != hosts {
+		t.Fatalf("size=%d, want %d", c.Size(), hosts)
 	}
 	procs := make([]*genie.Process, hosts)
 	for i := range procs {
@@ -71,7 +71,7 @@ func TestClusterFacadeRing(t *testing.T) {
 // TestClusterFacadeOptions checks per-host options flow through and the
 // tracer rejection.
 func TestClusterFacadeOptions(t *testing.T) {
-	c, err := genie.NewCluster(genie.IncastTopology(3), 1,
+	c, err := genie.NewCluster(genie.IncastTopology(3),
 		genie.WithPlatform(genie.AlphaStation255),
 		genie.WithMemory(128))
 	if err != nil {
@@ -84,10 +84,10 @@ func TestClusterFacadeOptions(t *testing.T) {
 		t.Fatalf("host free frames = %d with 128 configured", free)
 	}
 	ring := &traceRing{}
-	if _, err := genie.NewCluster(genie.RingTopology(2), 1, genie.WithTracer(ring)); err == nil {
+	if _, err := genie.NewCluster(genie.RingTopology(2), genie.WithTracer(ring)); err == nil {
 		t.Fatal("WithTracer accepted on a cluster")
 	}
-	if _, err := genie.NewCluster(genie.Topology{Hosts: 0}, 1); err == nil {
+	if _, err := genie.NewCluster(genie.Topology{Hosts: 0}); err == nil {
 		t.Fatal("empty topology accepted")
 	}
 	p0 := c.Host(1).NewProcess()
