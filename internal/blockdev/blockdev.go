@@ -161,34 +161,51 @@ func (d *Device) service(block, count int) sim.Duration {
 	return d.busyUntil.Sub(d.eng.Now())
 }
 
-// ReadBuf reads count blocks starting at block, returning the content
-// and the wait until the data is available.
-func (d *Device) ReadBuf(block, count int) (mem.Buf, sim.Duration, error) {
+// read validates and accounts a read of count blocks starting at
+// block, returning the wait until the data is available.
+func (d *Device) read(block, count int) (sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
-		return mem.Buf{}, 0, err
+		return 0, err
 	}
-	wait := d.service(block, count)
 	d.stats.Reads++
 	d.stats.BlocksRead += uint64(count)
-	out := mem.Buf{}
-	for i := 0; i < count; i++ {
-		out = out.Append(d.Peek(block + i))
-	}
-	return out, wait, nil
+	return d.service(block, count), nil
 }
 
-// Read DMAs count blocks starting at block into target (clipped to the
-// target's length), returning the wait until the transfer completes.
-// The target is the same DMA abstraction the network adapters write
-// through, so in-place file input lands in referenced application
-// pages exactly like in-place network input.
-func (d *Device) Read(block, count int, target netsim.DMATarget) (sim.Duration, error) {
-	content, wait, err := d.ReadBuf(block, count)
+// ReadBlocks reads len(dst) blocks starting at block into dst, one
+// buffer per block, and returns the wait until the data is available.
+// Each buffer aliases the device's stored block: stored blocks are
+// immutable snapshots (Write replaces them, it never writes into
+// them), so a read copies nothing and callers copy each block once,
+// into its destination.
+func (d *Device) ReadBlocks(block int, dst []mem.Buf) (sim.Duration, error) {
+	wait, err := d.read(block, len(dst))
 	if err != nil {
 		return 0, err
 	}
-	if limit := min(content.Len(), target.Len()); limit > 0 {
-		target.DMAWrite(0, content.Slice(0, limit))
+	for i := range dst {
+		dst[i] = d.Peek(block + i)
+	}
+	return wait, nil
+}
+
+// Read DMAs count blocks starting at block into target (clipped to the
+// target's length), one DMAWrite per block, returning the wait until
+// the transfer completes. The target is the same DMA abstraction the
+// network adapters write through, so in-place file input lands in
+// referenced application pages exactly like in-place network input.
+func (d *Device) Read(block, count int, target netsim.DMATarget) (sim.Duration, error) {
+	wait, err := d.read(block, count)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < count; i++ {
+		off := i * d.blockSize
+		n := min(d.blockSize, target.Len()-off)
+		if n <= 0 {
+			break
+		}
+		target.DMAWrite(off, d.Peek(block+i).Slice(0, n))
 	}
 	return wait, nil
 }

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -32,22 +33,24 @@ func pattern(seed, n int) []byte {
 // zeros, and short writes zero-pad their block.
 func TestContentRoundTrip(t *testing.T) {
 	_, d := newDev(t, Model{})
-	want := pattern(1, 2*bs)
+	want := append(pattern(1, bs), pattern(2, bs)...)
 	if _, err := d.Write(3, mem.BufBytes(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadBuf(3, 2)
-	if err != nil {
+	got := make([]mem.Buf, 2)
+	if _, err := d.ReadBlocks(3, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Resolve(), want) {
-		t.Fatal("read-back content differs from written content")
+	for i, b := range got {
+		if !bytes.Equal(b.Resolve(), want[i*bs:(i+1)*bs]) {
+			t.Fatalf("read-back block %d differs from written content", i)
+		}
 	}
-	zero, _, err := d.ReadBuf(10, 1)
-	if err != nil {
+	zero := make([]mem.Buf, 1)
+	if _, err := d.ReadBlocks(10, zero); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(zero.Resolve(), make([]byte, bs)) {
+	if !bytes.Equal(zero[0].Resolve(), make([]byte, bs)) {
 		t.Fatal("unwritten block not zero")
 	}
 	if _, err := d.Write(5, mem.BufBytes(pattern(2, 100))); err != nil {
@@ -56,6 +59,37 @@ func TestContentRoundTrip(t *testing.T) {
 	short := d.Peek(5).Resolve()
 	if !bytes.Equal(short[:100], pattern(2, 100)) || !bytes.Equal(short[100:], make([]byte, bs-100)) {
 		t.Fatal("short write not zero-padded")
+	}
+}
+
+// hostBuffer is a plain DMA target.
+type hostBuffer struct{ data []byte }
+
+func (h *hostBuffer) DMAWrite(off int, data mem.Buf) { data.ReadAt(h.data[off:off+data.Len()], 0) }
+func (h *hostBuffer) Len() int                       { return len(h.data) }
+
+// A direct read into a target shorter than the blocks it spans, ending
+// mid-block, fills exactly the target and accounts every block read.
+func TestDirectReadClipsToTarget(t *testing.T) {
+	_, d := newDev(t, Model{})
+	var want []byte // pattern repeats every 256 bytes: vary it per block
+	for b := 0; b < 3; b++ {
+		want = append(want, pattern(4+b, bs)...)
+	}
+	if _, err := d.Write(7, mem.BufBytes(want)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, bs - 1, bs, 2*bs + 100, 3 * bs} {
+		target := &hostBuffer{data: bytes.Repeat([]byte{0xff}, n)}
+		if _, err := d.Read(7, 3, target); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(target.data, want[:n]) {
+			t.Fatalf("%d-byte target: content differs from the device's", n)
+		}
+	}
+	if st := d.Stats(); st.Reads != 5 || st.BlocksRead != 15 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -82,7 +116,7 @@ func TestSeekAccounting(t *testing.T) {
 		t.Fatalf("contiguous write wait %v, want %v", w2.Micros(), want2)
 	}
 	// Jump back: seek again.
-	if _, _, err := d.ReadBuf(0, 1); err != nil {
+	if _, err := d.ReadBlocks(0, make([]mem.Buf, 1)); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -115,7 +149,7 @@ func TestArmIdleGap(t *testing.T) {
 // Range validation and Reset behavior.
 func TestRangeAndReset(t *testing.T) {
 	_, d := newDev(t, Model{})
-	if _, _, err := d.ReadBuf(63, 2); err == nil {
+	if _, err := d.ReadBlocks(63, make([]mem.Buf, 2)); err == nil {
 		t.Fatal("overrun read accepted")
 	}
 	if _, err := d.Write(-1, mem.ZeroBuf(bs)); err == nil {
@@ -124,7 +158,7 @@ func TestRangeAndReset(t *testing.T) {
 	if err := d.Load(2, mem.BufBytes(pattern(3, bs))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.ReadBuf(2, 1); err != nil {
+	if _, err := d.ReadBlocks(2, make([]mem.Buf, 1)); err != nil {
 		t.Fatal(err)
 	}
 	d.Reset()
@@ -135,7 +169,7 @@ func TestRangeAndReset(t *testing.T) {
 		t.Fatal("content survived Reset")
 	}
 	// Post-Reset service starts with a cold arm, like a fresh device.
-	_, w, err := d.ReadBuf(0, 1)
+	w, err := d.ReadBlocks(0, make([]mem.Buf, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +189,30 @@ func TestModelNormalization(t *testing.T) {
 	_, lit := newDev(t, Model{SeekUS: 5})
 	if lit.Model() != (Model{SeekUS: 5}) {
 		t.Fatalf("literal model perturbed: %+v", lit.Model())
+	}
+}
+
+// BenchmarkDeviceRead times a direct read of written blocks into a DMA
+// target: the device side of Share and EmulatedShare file input.
+func BenchmarkDeviceRead(b *testing.B) {
+	for _, blocks := range []int{1, 4, 15} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			d, err := New(sim.New(), Model{}, bs, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Write(0, mem.BufBytes(pattern(5, blocks*bs))); err != nil {
+				b.Fatal(err)
+			}
+			target := &hostBuffer{data: make([]byte, blocks*bs)}
+			b.ReportAllocs()
+			b.SetBytes(int64(blocks * bs))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Read(0, blocks, target); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

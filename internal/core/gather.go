@@ -64,16 +64,17 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 	g.stats.Outputs++
 
 	if op.Effective == Copy {
-		// Coalesce by copyin, segment by segment. Gather lists are short,
-		// so concatenating per-segment snapshots is cheap on both planes.
-		var data mem.Buf
-		for _, s := range segs {
+		// Coalesce by copyin: snapshot each segment, then join the
+		// snapshots in one mem.Concat, which copies each segment once.
+		parts := make([]mem.Buf, len(segs))
+		for i, s := range segs {
 			buf, err := p.as.PeekBuf(s.VA, s.Len)
 			if err != nil {
 				return nil, err
 			}
-			data = data.Append(buf)
+			parts[i] = buf
 		}
+		data := mem.Concat(parts...)
 		prep := []charge{{cost.BufAllocate, total}, {cost.Copyin, total}}
 		if g.cfg.Checksum != ChecksumNone {
 			if g.cfg.Checksum == ChecksumIntegrated {
@@ -121,11 +122,11 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 	}
 
 	payload := func() (mem.Buf, error) {
-		var data mem.Buf
+		parts := make([]mem.Buf, len(refs))
 		for i, ref := range refs {
-			data = data.Append(ref.DMAReadBuf(0, segs[i].Len))
+			parts[i] = ref.DMAReadBuf(0, segs[i].Len)
 		}
-		return data, nil
+		return mem.Concat(parts...), nil
 	}
 	dispose := func() []charge {
 		var ch []charge

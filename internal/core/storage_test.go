@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -9,7 +10,7 @@ import (
 )
 
 // storageBed builds a testbed with a storage stack on host A.
-func storageBed(t *testing.T, disk DiskConfig) (*Testbed, *Storage) {
+func storageBed(t testing.TB, disk DiskConfig) (*Testbed, *Storage) {
 	t.Helper()
 	tb, err := NewTestbed(TestbedConfig{})
 	if err != nil {
@@ -31,7 +32,7 @@ func filePattern(b, n int) []byte {
 	return p
 }
 
-func loadFile(t *testing.T, s *Storage, blocks int) {
+func loadFile(t testing.TB, s *Storage, blocks int) {
 	t.Helper()
 	bs := s.Device().BlockSize()
 	for b := 0; b < blocks; b++ {
@@ -406,5 +407,47 @@ func TestStorageResetDeterminism(t *testing.T) {
 	cpu2, t2 := run(tb, s)
 	if cpu1 != cpu2 || t1 != t2 {
 		t.Fatalf("recycled run diverged: cpu %v vs %v, t %v vs %v", cpu1, cpu2, t1, t2)
+	}
+}
+
+// BenchmarkStorageFileRead times one 15-page file read per iteration,
+// engine run included, under each read path: Copy gathers from the
+// cache, EmulatedCopy flips cache pages (refilling them from the
+// device every time), Share DMAs straight from the device and Move
+// donates cache pages into a fresh region.
+func BenchmarkStorageFileRead(b *testing.B) {
+	const pages = 15
+	for _, sem := range []Semantics{Copy, EmulatedCopy, Share, Move} {
+		b.Run(fmt.Sprint(sem), func(b *testing.B) {
+			tb, s := storageBed(b, DiskConfig{CachePages: 2 * pages})
+			loadFile(b, s, pages)
+			bs := s.Device().BlockSize()
+			p := tb.A.Genie.NewProcess()
+			var va vm.Addr
+			if !sem.SystemAllocated() {
+				var err error
+				if va, err = p.Brk(pages * bs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(pages * int64(bs))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op, err := s.FileRead(p, sem, 0, pages*bs, va)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tb.Run()
+				if !op.Done || op.Err != nil {
+					b.Fatalf("read not done (err %v)", op.Err)
+				}
+				if op.Region != nil {
+					if err := p.FreeIOBuffer(op.Region); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -262,6 +262,52 @@ func (b Buf) Append(o Buf) Buf {
 	return Buf{n: b.n + o.n, runs: runs}
 }
 
+// Concat returns the concatenation of parts in one allocation: one
+// byte slice when every non-empty part is bytes-backed, otherwise one
+// coalesced run list. With exactly one non-empty part, that part is
+// returned as-is; with none, the empty Buf. Building a long buffer by
+// repeated Append copies everything gathered so far on every step;
+// Concat copies each part once.
+func Concat(parts ...Buf) Buf {
+	var only Buf
+	n, nonEmpty, nruns, allBytes := 0, 0, 0, true
+	for _, p := range parts {
+		if p.n == 0 {
+			continue
+		}
+		only = p
+		n += p.n
+		nonEmpty++
+		if p.bytes != nil {
+			nruns++
+		} else {
+			allBytes = false
+			nruns += len(p.runs)
+		}
+	}
+	if nonEmpty <= 1 {
+		return only
+	}
+	if allBytes {
+		joined := make([]byte, 0, n)
+		for _, p := range parts {
+			joined = append(joined, p.bytes...)
+		}
+		return Buf{n: n, bytes: joined}
+	}
+	runs := make([]Run, 0, nruns)
+	for _, p := range parts {
+		if p.bytes != nil {
+			runs = appendRun(runs, Run{Src: SrcLiteral, Len: p.n, lit: p.bytes})
+			continue
+		}
+		for _, r := range p.runs {
+			runs = appendRun(runs, r)
+		}
+	}
+	return Buf{n: n, runs: runs}
+}
+
 // ReadAt resolves bytes [off, off+len(p)) of the buffer into p.
 func (b Buf) ReadAt(p []byte, off int) {
 	if off < 0 || off+len(p) > b.n {

@@ -246,3 +246,86 @@ func TestFrameSnapshotLoadRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// FuzzConcat decodes data into a list of mixed parts — bytes-backed,
+// literal, zero and pattern, empty ones included — and checks Concat
+// against the concatenated shadows, against chained Append, and window
+// by window through ReadAt. Each part takes two input bytes: the low
+// two bits of the first pick the kind, the rest a source and offset;
+// the second is the length.
+func FuzzConcat(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 9})
+	f.Add([]byte{0, 9, 0, 0, 0, 13})
+	f.Add([]byte{1, 7, 2, 4, 3, 20, 0, 5})
+	f.Add([]byte{3, 10, 3, 10, 7, 10, 2, 3, 2, 0, 2, 5})
+	f.Add([]byte{2, 0, 1, 0, 3, 0})
+	f.Add([]byte{0, 40, 1, 40, 2, 40, 3, 40, 0, 1, 255, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srcs := [2]SourceID{NewPatternSource(), NewPatternSource()}
+		var parts []Buf
+		var shadows [][]byte
+		for ; len(data) >= 2 && len(parts) < 64; data = data[2:] {
+			kind, arg, n := data[0]&3, int(data[0]>>2), int(data[1])%48
+			s := make([]byte, n)
+			var b Buf
+			switch kind {
+			case 0: // bytes-backed
+				for i := range s {
+					s[i] = byte(arg*31 + i*7)
+				}
+				b = BufBytes(s)
+			case 1: // literal run
+				for i := range s {
+					s[i] = byte(arg*13 + i*5 + 1)
+				}
+				b = LiteralBuf(append([]byte(nil), s...))
+			case 2: // zero run
+				b = ZeroBuf(n)
+			case 3: // pattern run: consecutive parts from one source may abut
+				off := (arg >> 1) * 8
+				for i := range s {
+					s[i] = byte(off + i)
+				}
+				b = PatternBuf(srcs[arg&1], off, n)
+			}
+			parts = append(parts, b)
+			shadows = append(shadows, s)
+		}
+		want := bytes.Join(shadows, nil)
+
+		got := Concat(parts...)
+		if got.Len() != len(want) {
+			t.Fatalf("Len %d, want %d", got.Len(), len(want))
+		}
+		if !bytes.Equal(got.Resolve(), want) {
+			t.Fatal("Resolve differs from the concatenated shadows")
+		}
+		var chained Buf
+		for _, p := range parts {
+			chained = chained.Append(p)
+		}
+		if !got.Equal(chained) || !chained.Equal(got) {
+			t.Fatal("Concat not Equal to chained Append")
+		}
+		for i, p := range parts {
+			if !bytes.Equal(p.Resolve(), shadows[i]) {
+				t.Fatalf("part %d changed by Concat", i)
+			}
+		}
+		step := 1 + len(want)/16
+		for off := 0; off < len(want); off += step {
+			for _, n := range []int{0, 1, (len(want) - off) / 2, len(want) - off} {
+				if off+n > len(want) {
+					continue
+				}
+				p := make([]byte, n)
+				got.ReadAt(p, off)
+				if !bytes.Equal(p, want[off:off+n]) {
+					t.Fatalf("ReadAt(%d, %d) differs from the shadow", off, n)
+				}
+			}
+		}
+	})
+}

@@ -265,20 +265,24 @@ func (c *Cache) fill(block int) (sim.Duration, error) {
 		}
 		run++
 	}
-	content, wait, err := c.dev.ReadBuf(block, run)
+	var small [8]mem.Buf // read-ahead runs are short: no allocation
+	blocks := small[:min(run, len(small))]
+	if run > len(small) {
+		blocks = make([]mem.Buf, run)
+	}
+	wait, err := c.dev.ReadBlocks(block, blocks)
 	if err != nil {
 		return 0, err
 	}
 	c.counters.Misses++
 	c.counters.ReadAheads += uint64(run - 1)
-	bs := c.dev.BlockSize()
 	for i := run - 1; i >= 0; i-- { // insert missed block last so it ends up MRU
 		e, evictWait, err := c.insert(block + i)
 		if err != nil {
 			return wait, err
 		}
 		wait += evictWait
-		e.frame.LoadBuf(content.Slice(i*bs, bs))
+		e.frame.LoadBuf(blocks[i])
 	}
 	return wait, nil
 }
@@ -314,26 +318,49 @@ func (c *Cache) EnsureRange(block, count int) (sim.Duration, error) {
 }
 
 // ReadRange returns n bytes starting at byte off within block's run,
-// filling misses, plus the device wait.
+// filling misses, plus the device wait. Each page is copied once: on
+// the bytes plane straight into the result, on the symbolic plane as
+// a run slice joined by one mem.Concat. A page is read out as soon as
+// it is required, before the next page's require, whose fill may evict
+// and reuse its frame.
 func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
+	if n == 0 {
+		return mem.Buf{}, 0, nil
+	}
 	bs := c.dev.BlockSize()
-	out := mem.Buf{}
-	var wait sim.Duration
-	pos := block + off/bs
+	page := block + off/bs
 	off %= bs
-	for n > 0 {
-		e, w, err := c.require(pos)
+	symbolic := c.sys.Phys().Symbolic()
+	var out []byte // bytes plane: the result
+	var small [4]mem.Buf
+	parts := small[:0] // symbolic plane: short reads slice pages without allocating
+	switch pages := (off + n + bs - 1) / bs; {
+	case !symbolic:
+		out = make([]byte, n)
+	case pages > len(small):
+		parts = make([]mem.Buf, 0, pages)
+	}
+	var wait sim.Duration
+	for pos := 0; pos < n; {
+		e, w, err := c.require(page)
 		if err != nil {
 			return mem.Buf{}, wait, err
 		}
 		wait += w
-		k := min(bs-off, n)
-		out = out.Append(e.frame.ReadBuf(off, k))
-		n -= k
+		k := min(bs-off, n-pos)
+		if symbolic {
+			parts = append(parts, e.frame.ReadBuf(off, k))
+		} else {
+			e.frame.ReadAt(out[pos:pos+k], off)
+		}
+		pos += k
 		off = 0
-		pos++
+		page++
 	}
-	return out, wait, nil
+	if symbolic {
+		return mem.Concat(parts...), wait, nil
+	}
+	return mem.BufBytes(out), wait, nil
 }
 
 // WriteRange stores data at byte off within block's run with

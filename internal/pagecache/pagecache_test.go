@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -12,9 +13,14 @@ import (
 
 const pageSize = 4096
 
-func newCache(t *testing.T, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
+func newCache(t testing.TB, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
 	t.Helper()
-	pm := mem.NewWithPlane(256, pageSize, mem.Bytes)
+	return newCacheOn(t, mem.Bytes, cfg)
+}
+
+func newCacheOn(t testing.TB, plane mem.DataPlane, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
+	t.Helper()
+	pm := mem.NewWithPlane(256, pageSize, plane)
 	sys := vm.NewSystem(pm)
 	eng := sim.New()
 	dev, err := blockdev.New(eng, blockdev.Model{SeekUS: 100, FixedUS: 10, PerByteUS: 0.001}, pageSize, 128)
@@ -28,7 +34,7 @@ func newCache(t *testing.T, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
 	return sys, dev, c
 }
 
-func image(dev *blockdev.Device, t *testing.T, blocks int) {
+func image(dev *blockdev.Device, t testing.TB, blocks int) {
 	t.Helper()
 	for b := 0; b < blocks; b++ {
 		p := make([]byte, pageSize)
@@ -349,6 +355,88 @@ func TestReacquireMatchesFresh(t *testing.T) {
 	for i := range fresh {
 		if fresh[i] != recycled[i] {
 			t.Fatalf("frame ids diverge at %d: fresh %v recycled %v", i, fresh, recycled)
+		}
+	}
+}
+
+// A read spanning more pages than the cache holds evicts its own
+// earlier pages while it runs; each page must be read out before the
+// next page's fill reuses its frame.
+func TestReadRangeBeyondCapacity(t *testing.T) {
+	for _, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
+		sys, dev, c := newCacheOn(t, plane, Config{Pages: 2, ReadAhead: 2})
+		image(dev, t, 8)
+		base := sys.Phys().FreeFrames()
+		const off = 100
+		n := 4 * pageSize // 5 pages: [1]+100 .. [5]+100
+		got, _, err := c.ReadRange(1, off, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for b := 1; b <= 5; b++ {
+			want = append(want, wantBlock(b, 0, pageSize)...)
+		}
+		if !bytes.Equal(got.Resolve(), want[off:off+n]) {
+			t.Fatalf("%s: content differs from the image", plane.Name())
+		}
+		if ct := c.Counters(); ct.Evictions == 0 {
+			t.Fatalf("%s: read did not overflow the cache: %+v", plane.Name(), ct)
+		}
+		if err := c.CheckConservation(); err != nil {
+			t.Fatalf("%s: %v", plane.Name(), err)
+		}
+		c.Drop()
+		if sys.Phys().FreeFrames() != base {
+			t.Fatalf("%s: frames leaked: %d free, base %d", plane.Name(), sys.Phys().FreeFrames(), base)
+		}
+	}
+}
+
+// On the bytes plane a resident read allocates its result and nothing
+// per page.
+func TestReadRangeResidentAllocs(t *testing.T) {
+	_, dev, c := newCache(t, Config{Pages: 16})
+	image(dev, t, 16)
+	if _, err := c.EnsureRange(0, 15); err != nil {
+		t.Fatal(err)
+	}
+	for _, pages := range []int{1, 4, 15} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := c.ReadRange(0, 0, pages*pageSize); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%d-page resident read: %v allocs, want <= 2", pages, allocs)
+		}
+	}
+}
+
+var sinkBuf mem.Buf
+
+// BenchmarkCacheReadRange reads resident pages, so it times the gather
+// alone: no device reads, no evictions.
+func BenchmarkCacheReadRange(b *testing.B) {
+	for _, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
+		for _, pages := range []int{1, 4, 15} {
+			b.Run(fmt.Sprintf("%s/pages=%d", plane.Name(), pages), func(b *testing.B) {
+				_, dev, c := newCacheOn(b, plane, Config{Pages: 16})
+				image(dev, b, 16)
+				if _, err := c.EnsureRange(0, pages); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(pages * pageSize))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf, _, err := c.ReadRange(0, 0, pages*pageSize)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkBuf = buf
+				}
+			})
 		}
 	}
 }
