@@ -11,19 +11,14 @@ import (
 	"repro/internal/experiments"
 )
 
-// runClusterCmd parses the cluster subcommand's flags. The canonical
-// spellings are -hosts/-rounds/-bytes; the historical -cluster*
-// prefixed names remain registered as aliases.
+// runClusterCmd parses the cluster subcommand's flags.
 func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("geniebench cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var opts clusterOptions
 	fs.IntVar(&opts.hosts, "hosts", 64, "incast host count (1 receiver + N-1 senders)")
-	fs.IntVar(&opts.hosts, "clusterhosts", 64, "alias for -hosts")
 	fs.IntVar(&opts.rounds, "rounds", 4, "lockstep send/drain rounds per workload")
-	fs.IntVar(&opts.rounds, "clusterrounds", 4, "alias for -rounds")
 	fs.IntVar(&opts.msgBytes, "bytes", 8192, "incast message payload size in bytes")
-	fs.IntVar(&opts.msgBytes, "clusterbytes", 8192, "alias for -bytes")
 	fs.StringVar(&opts.jsonPath, "json", "", "write both reports as JSON to this path")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the harness (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
@@ -33,12 +28,12 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 		experiments.SetParallelism(*parallel)
 	}
 	if opts.hosts < 2 {
-		return usageErrf(fs, stderr, "-clusterhosts must be at least 2, got %d", opts.hosts)
+		return usageErrf(fs, stderr, "-hosts must be at least 2, got %d", opts.hosts)
 	}
 	return runCluster(opts, stdout, stderr)
 }
 
-// clusterOptions carries the -cluster flag settings into runCluster.
+// clusterOptions carries the cluster flag settings into runCluster.
 type clusterOptions struct {
 	hosts    int
 	rounds   int
@@ -46,7 +41,7 @@ type clusterOptions struct {
 	jsonPath string
 }
 
-// clusterDoc is the -json document of a -cluster run (BENCH_pr7.json in
+// clusterDoc is the -json document of a cluster run (BENCH_pr7.json in
 // CI): both workloads' runs, the determinism verdict,
 // and the environment the wall-clock times were taken on.
 type clusterDoc struct {

@@ -13,8 +13,7 @@ import (
 func TestCLIClusterMode(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	code, stdout, stderr := runCLI(t,
-		"-cluster", "-clusterhosts", "9", "-clusterrounds", "2",
-		"-clusterbytes", "4096",
+		"cluster", "-hosts", "9", "-rounds", "2", "-bytes", "4096",
 		"-json", jsonPath)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
@@ -49,11 +48,11 @@ func TestCLIClusterMode(t *testing.T) {
 
 // Bad cluster flag values exit 2 with usage.
 func TestCLIClusterBadFlags(t *testing.T) {
-	code, _, stderr := runCLI(t, "-cluster", "-clusterhosts", "1")
-	if code != 2 || !strings.Contains(stderr, "-clusterhosts") {
+	code, _, stderr := runCLI(t, "cluster", "-hosts", "1")
+	if code != 2 || !strings.Contains(stderr, "-hosts") {
 		t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 	}
-	code, _, stderr = runCLI(t, "-cluster", "-clusterworkers", "1,4")
+	code, _, stderr = runCLI(t, "cluster", "-clusterworkers", "1,4")
 	if code != 2 || !strings.Contains(stderr, "clusterworkers") {
 		t.Fatalf("exit code %d for the removed worker flag, stderr:\n%s", code, stderr)
 	}

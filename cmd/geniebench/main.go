@@ -9,10 +9,9 @@
 //	geniebench storage      # storage-path study: semantics x I/O size over block device + page cache
 //
 // Every subcommand takes its own flags (see `geniebench <cmd> -h`); all
-// of them share -json <path> (machine-readable report) and -parallel N
-// (harness worker goroutines). The historical spellings `-bigsweep`,
-// `-cluster`, and `-faults <spec>` still work as aliases for their
-// subcommands and print a deprecation note on stderr.
+// of them share -parallel N (harness worker goroutines) and all but
+// chaos share -json <path> (machine-readable report). Arguments that
+// start with a flag select the default sweep.
 //
 // # sweep
 //
@@ -62,17 +61,16 @@
 // scatter-gather fan-out (fanout), sweeping buffering semantics x queue
 // depth x offered load and locating each semantics' rule-3 transition —
 // the smallest depth whose heaviest-load point is no longer bimodal.
-// The sweep runs at every -workers count and the digests must match
-// bit for bit; exit status is nonzero on divergence, or when
-// -requiretransition names a semantics whose transition is not finite.
-// Independent grid points fan across -pointworkers goroutines (default:
-// the shared -parallel setting); -workers only sets the verification
-// runs, as each point's cluster advances serially. Every point reuses
-// a Reset cluster from the recycler and the workload-point memo serves
-// repeat worker counts without resimulating (-norecycle and -nomemo
-// restore the cold path — output is byte-identical either way).
-// -minspeedup additionally times the serial cold regime and gates on
-// the optimized speedup over it.
+// The sweep runs twice and the two digests must match bit for bit;
+// exit status is nonzero on divergence, or when -requiretransition
+// names a semantics whose transition is not finite. Independent grid
+// points fan across -pointworkers goroutines (default: the shared
+// -parallel setting). Every point reuses a Reset cluster from the
+// recycler and the workload-point memo serves the second run without
+// resimulating (-norecycle and -nomemo restore the cold path — output
+// is byte-identical either way). -minspeedup additionally times the
+// same two runs in the serial cold regime and gates on the optimized
+// speedup over it.
 //
 // # storage
 //
@@ -112,11 +110,12 @@ var subcommands = []struct {
 }
 
 // run is the testable entry point: flag or usage errors return 2,
-// runtime failures 1, success 0.
+// runtime failures 1, success 0. An explicit first argument names the
+// subcommand; anything else runs the default sweep with every argument.
 func run(args []string, stdout, stderr io.Writer) int {
-	name, rest, note := dispatch(args)
-	if note != "" {
-		fmt.Fprintln(stderr, note)
+	name, rest := "sweep", args
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, rest = args[0], args[1:]
 	}
 	for _, sc := range subcommands {
 		if sc.name == name {
@@ -126,33 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "geniebench: unknown subcommand %q\n", name)
 	printUsage(stderr)
 	return 2
-}
-
-// dispatch resolves the subcommand: an explicit first argument wins;
-// otherwise the legacy mode flags (-bigsweep, -cluster, -faults) are
-// recognized as aliases with a deprecation note, and everything else
-// falls through to the default sweep.
-func dispatch(args []string) (name string, rest []string, note string) {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		return args[0], args[1:], ""
-	}
-	for i, a := range args {
-		flagName := strings.TrimLeft(a, "-")
-		switch {
-		case flagName == "bigsweep" || flagName == "cluster":
-			// Boolean mode flag: drop it, keep every other flag — the
-			// subcommand's FlagSet still accepts the historical names.
-			rest = append(append([]string{}, args[:i]...), args[i+1:]...)
-			return flagName, rest,
-				fmt.Sprintf("geniebench: note: -%s is deprecated; use `geniebench %s`", flagName, flagName)
-		case flagName == "faults" || strings.HasPrefix(flagName, "faults="):
-			// Value-carrying mode flag: keep it, the chaos FlagSet
-			// registers -faults as an alias of -spec.
-			return "chaos", args,
-				"geniebench: note: -faults is deprecated; use `geniebench chaos -spec <spec>`"
-		}
-	}
-	return "sweep", args, ""
 }
 
 func printUsage(w io.Writer) {

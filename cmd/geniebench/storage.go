@@ -95,9 +95,7 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "geniebench: wrote %s\n", *jsonPath)
 	}
 
-	fmt.Fprintf(stderr,
-		"geniebench: storage perf: memo %d hits / %d misses / %d waits, rigs %d recycled / %d built\n",
-		rep.Perf.StorageMemoHits, rep.Perf.StorageMemoMisses, rep.Perf.StorageMemoWaits,
+	fmt.Fprintf(stderr, "geniebench: storage perf: rigs %d recycled / %d built\n",
 		rep.Perf.StorageRigsRecycled, rep.Perf.StorageRigsBuilt)
 
 	code := 0

@@ -62,8 +62,8 @@ func TestCLIStorage(t *testing.T) {
 	if len(rep.Crossovers) != 1 || rep.Crossovers[0].Bytes == 0 {
 		t.Fatalf("crossovers = %+v", rep.Crossovers)
 	}
-	if rep.Perf.StorageMemoMisses == 0 {
-		t.Errorf("perf block missing storage memo counters: %+v", rep.Perf)
+	if got, want := rep.Perf.StorageRigsBuilt+rep.Perf.StorageRigsRecycled, uint64(2*len(rep.Points)); got != want {
+		t.Errorf("rigs built + recycled = %d, want one per point per run (%d): %+v", got, want, rep.Perf)
 	}
 }
 

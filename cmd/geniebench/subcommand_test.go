@@ -10,9 +10,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// The dispatcher: explicit subcommands route, legacy mode flags alias
-// with a deprecation note, and unknown names exit 2 with the
-// subcommand list.
+// The dispatcher: explicit subcommands route, a leading flag selects
+// the default sweep, and unknown names exit 2 with the subcommand list.
 func TestCLIDispatch(t *testing.T) {
 	t.Run("unknown subcommand", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "frobnicate")
@@ -25,25 +24,10 @@ func TestCLIDispatch(t *testing.T) {
 			}
 		}
 	})
-	t.Run("legacy faults alias notes deprecation", func(t *testing.T) {
-		code, stdout, stderr := runCLI(t, "-faults", "seed=1,drop=0.25")
-		if code != 0 {
-			t.Fatalf("exit code %d\nstderr:\n%s", code, stderr)
-		}
-		if !strings.Contains(stderr, "deprecated") || !strings.Contains(stderr, "geniebench chaos") {
-			t.Errorf("no deprecation note on stderr:\n%s", stderr)
-		}
-		if !strings.Contains(stdout, "recovered") {
-			t.Errorf("chaos report missing:\n%s", stdout)
-		}
-	})
 	t.Run("chaos subcommand spec flag", func(t *testing.T) {
 		code, stdout, stderr := runCLI(t, "chaos", "-spec", "seed=1,drop=0.25")
 		if code != 0 {
 			t.Fatalf("exit code %d\nstderr:\n%s", code, stderr)
-		}
-		if strings.Contains(stderr, "deprecated") {
-			t.Errorf("spurious deprecation note for the new spelling:\n%s", stderr)
 		}
 		if !strings.Contains(stdout, "recovered") {
 			t.Errorf("chaos report missing:\n%s", stdout)
@@ -51,7 +35,7 @@ func TestCLIDispatch(t *testing.T) {
 	})
 	t.Run("chaos requires a spec", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "chaos")
-		if code != 2 || !strings.Contains(stderr, "-faults") {
+		if code != 2 || !strings.Contains(stderr, "-spec") {
 			t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 		}
 	})
@@ -63,7 +47,7 @@ func TestCLIDispatch(t *testing.T) {
 	})
 	t.Run("cluster subcommand canonical flags", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "cluster", "-hosts", "1")
-		if code != 2 || !strings.Contains(stderr, "-clusterhosts") {
+		if code != 2 || !strings.Contains(stderr, "-hosts") {
 			t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 		}
 	})
@@ -85,7 +69,7 @@ func TestCLIWorkload(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "wl.json")
 	code, stdout, stderr := runCLI(t, "workload",
 		"-semantics", "copy,emulated-weak-move",
-		"-depths", "1,4", "-loads", "2", "-workers", "1,2",
+		"-depths", "1,4", "-loads", "2",
 		"-requiretransition", "copy",
 		"-json", jsonPath)
 	if code != 0 {
@@ -96,7 +80,7 @@ func TestCLIWorkload(t *testing.T) {
 		"BIMODAL",
 		"copy               rule-3 transition at depth 4",
 		"emulated weak move rule-3 transition at depth 1",
-		"bit-identical across worker counts",
+		"bit-identical across runs",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
@@ -127,7 +111,7 @@ func TestCLIWorkloadPointWorkers(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "wl.json")
 	args := []string{"workload",
 		"-semantics", "copy", "-depths", "1,4", "-loads", "0.5,2",
-		"-ops", "6", "-workers", "1,2"}
+		"-ops", "6"}
 	code, stdout, stderr := runCLI(t, append(args,
 		"-pointworkers", "8", "-minspeedup", "0.1", "-json", jsonPath)...)
 	if code != 0 {
@@ -174,7 +158,7 @@ func TestCLIWorkloadPointWorkers(t *testing.T) {
 func TestCLIWorkloadSpeedupGateFails(t *testing.T) {
 	code, _, stderr := runCLI(t, "workload",
 		"-semantics", "copy", "-depths", "1", "-loads", "1",
-		"-ops", "4", "-workers", "1", "-minspeedup", "1e9")
+		"-ops", "4", "-minspeedup", "1e9")
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)
 	}
@@ -188,7 +172,7 @@ func TestCLIWorkloadSpeedupGateFails(t *testing.T) {
 func TestCLIWorkloadGateFails(t *testing.T) {
 	code, _, stderr := runCLI(t, "workload",
 		"-scenario", "stream", "-semantics", "copy",
-		"-depths", "2", "-loads", "2", "-ops", "6", "-workers", "1",
+		"-depths", "2", "-loads", "2", "-ops", "6",
 		"-requiretransition", "copy")
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)

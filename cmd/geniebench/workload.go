@@ -83,10 +83,10 @@ func parseFloatList(s string) ([]float64, error) {
 }
 
 // runWorkloadCmd drives the closed-loop backpressure study: sweep
-// semantics × depth × load at every -workers count, digest-compare the
-// runs, and locate each semantics' rule-3 transition depth. Exit status
-// is nonzero on digest divergence, or when -requiretransition names a
-// semantics whose transition is not finite.
+// semantics × depth × load twice, digest-compare the runs, and locate
+// each semantics' rule-3 transition depth. Exit status is nonzero on
+// digest divergence, or when -requiretransition names a semantics whose
+// transition is not finite.
 func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("geniebench workload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -108,8 +108,6 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 0, "think-time jitter seed (0 = default 1)")
 	faultsFlag := fs.String("faults", "",
 		"arm seeded fault injection, e.g. seed=7,drop=0.02,corrupt=0.01")
-	workersList := fs.String("workers", "",
-		"comma-separated worker counts, one digest-compared sweep each (default 1,4; clusters always advance serially)")
 	requireTransition := fs.String("requiretransition", "",
 		"exit nonzero unless this semantics' rule-3 transition depth is finite (CI gate)")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this path")
@@ -117,7 +115,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 		"worker goroutines for the harness; workload points fan across this many unless -pointworkers overrides (0 = leave default)")
 	pointWorkers := fs.Int("pointworkers", 0,
 		"goroutines for independent (semantics, depth, load) points (0 = adopt -parallel, 1 = serial)")
-	noMemo := fs.Bool("nomemo", false, "disable the workload-point memo (later -workers runs recompute every point)")
+	noMemo := fs.Bool("nomemo", false, "disable the workload-point memo (the second run recomputes every point)")
 	noRecycle := fs.Bool("norecycle", false, "disable cluster recycling (every point builds a fresh cluster)")
 	minSpeedup := fs.Float64("minspeedup", 0,
 		"also time the serial/cold regime and exit nonzero unless optimized/cold speedup meets this floor (CI gate)")
@@ -158,14 +156,6 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if cfg.Loads, err = parseFloatList(*loadList); err != nil {
 		return usageErrf(fs, stderr, "-loads: %v", err)
-	}
-	if cfg.Workers, err = parseIntList(*workersList); err != nil {
-		return usageErrf(fs, stderr, "-workers: %v", err)
-	}
-	for _, w := range cfg.Workers {
-		if w < 1 {
-			return usageErrf(fs, stderr, "-workers: count %d < 1", w)
-		}
 	}
 	if *faultsFlag != "" {
 		spec, err := faults.ParseSpec(*faultsFlag)
@@ -215,7 +205,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 
 	code := 0
 	if !rep.Deterministic {
-		fmt.Fprintf(stderr, "geniebench: FAIL: workload digests diverge across worker counts\n")
+		fmt.Fprintf(stderr, "geniebench: FAIL: workload digests diverge across runs\n")
 		code = 1
 	}
 	if *minSpeedup > 0 && rep.Speedup < *minSpeedup {
@@ -242,7 +232,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 
 // printWorkloadReport renders the sweep: per-semantics operating points
 // in canonical order, each scheme's transition verdict, then the
-// per-worker-count digest lines proving (or refuting) determinism.
+// per-run digest lines proving (or refuting) determinism.
 func printWorkloadReport(stdout io.Writer, rep *experiments.WorkloadReport) {
 	res := rep.Result
 	fmt.Fprintf(stdout, "workload %s: %d clients, %d ops/client, %d-byte messages\n",
@@ -269,11 +259,11 @@ func printWorkloadReport(stdout io.Writer, rep *experiments.WorkloadReport) {
 				res.Scenario, s.Semantics)
 		}
 	}
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stdout, "workload %s: workers=%d digest=%s ops=%d elapsed=%.3fs\n",
-			res.Scenario, r.Workers, r.Digest, r.CompletedOps, r.ElapsedSec)
+	for i, r := range rep.Runs {
+		fmt.Fprintf(stdout, "workload %s: run=%d digest=%s ops=%d elapsed=%.3fs\n",
+			res.Scenario, i+1, r.Digest, r.CompletedOps, r.ElapsedSec)
 	}
-	verdict := "bit-identical across worker counts"
+	verdict := "bit-identical across runs"
 	if !rep.Deterministic {
 		verdict = "DIGESTS DIVERGE"
 	}

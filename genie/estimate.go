@@ -36,8 +36,8 @@ type EstimatePoint struct {
 // transferring length bytes under sem, without running the simulator.
 // It evaluates the paper's Section 8 model — base latency plus the
 // critical path's data-passing operation costs — in closed form,
-// several hundred times faster than a simulated Transfer; geniebench
-// -bigsweep continuously validates the two paths against each other.
+// several hundred times faster than a simulated Transfer; `geniebench
+// bigsweep` continuously validates the two paths against each other.
 //
 // Estimate covers the regime of a single fault-free datagram on a
 // fresh testbed. Fragmented (MTU), faulted, or back-to-back traffic

@@ -14,7 +14,8 @@ import (
 // one server), "stream" (fixed-bitrate frames through a bounded sender
 // queue), and "fanout" (one client scattering to N servers). Every
 // sweep is a deterministic simulation, bit-identical at any worker
-// count; the returned stats carry the digest proving it.
+// count and across runs; the returned stats carry the digests proving
+// it.
 
 // Workload scenario names.
 const (
@@ -28,10 +29,10 @@ func WorkloadScenarios() []string { return workload.Scenarios() }
 
 type (
 	// WorkloadStats is a full sweep outcome: per-semantics operating
-	// points, transition depths, the determinism digest, and the
-	// per-worker-count runs that verified it.
+	// points, transition depths, the determinism digest, and the two
+	// runs that verified it.
 	WorkloadStats = experiments.WorkloadReport
-	// WorkloadResult is one sweep at one worker count.
+	// WorkloadResult is one sweep.
 	WorkloadResult = workload.Result
 	// WorkloadScheme is one buffering semantics' sweep plus its located
 	// transition depth (-1 when every depth stays bimodal).
@@ -131,14 +132,6 @@ func WithWorkloadSeed(seed uint64) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.Seed = seed }
 }
 
-// WithWorkloadWorkers sets the worker counts the sweep runs at, one
-// digest-compared run each. Default {1, 4}; the first is the reported
-// baseline. The count has no effect on execution: each point's cluster
-// advances serially.
-func WithWorkloadWorkers(workers ...int) WorkloadOption {
-	return func(o *workloadOptions) { o.cfg.Workers = workers }
-}
-
 // WithPointWorkers sets the number of goroutines independent
 // (semantics, depth, load) points fan across. 0 (the default) adopts
 // the package-wide parallelism; 1 walks the grid serially. The digest
@@ -147,17 +140,17 @@ func WithPointWorkers(n int) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.PointWorkers = n }
 }
 
-// WithSerialColdComparison additionally times the whole verification
-// run in the serial/cold regime (no point parallelism, no memo, no
-// cluster recycling) and reports the optimized run's speedup over it;
-// the cold digest participates in the determinism verdict.
+// WithSerialColdComparison additionally times both runs in the
+// serial/cold regime (no point parallelism, no memo, no cluster
+// recycling) and reports the optimized runs' speedup over them; the
+// cold digests participate in the determinism verdict.
 func WithSerialColdComparison() WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.CompareSerialCold = true }
 }
 
-// RunWorkload executes one closed-loop workload sweep at every
-// configured worker count, digest-compares the runs, and returns the
-// serial baseline's schemes with the determinism verdict.
+// RunWorkload executes one closed-loop workload sweep twice,
+// digest-compares the runs, and returns the first run's schemes with
+// the determinism verdict.
 func RunWorkload(opts ...WorkloadOption) (*WorkloadStats, error) {
 	var o workloadOptions
 	for _, opt := range opts {

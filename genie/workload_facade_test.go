@@ -8,23 +8,22 @@ import (
 
 // The workload facade runs the backpressure study end to end: a
 // trimmed file-server sweep must locate copy's rule-3 transition, come
-// back digest-identical across the compared worker counts, and expose
-// the typed per-point measurements.
+// back digest-identical across its two runs, and expose the typed
+// per-point measurements.
 func TestWorkloadFacade(t *testing.T) {
 	stats, err := genie.RunWorkload(
 		genie.WithWorkloadSemantics(genie.Copy),
 		genie.WithDepths(1, 4),
 		genie.WithLoads(2),
-		genie.WithWorkloadWorkers(1, 3),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.Deterministic {
-		t.Fatalf("sweep not deterministic across workers: %+v", stats.Runs)
+		t.Fatalf("sweep not deterministic across runs: %+v", stats.Runs)
 	}
-	if len(stats.Runs) != 2 || stats.Runs[0].Workers != 1 || stats.Runs[1].Workers != 3 {
-		t.Fatalf("runs = %+v, want worker counts 1 and 3", stats.Runs)
+	if len(stats.Runs) != 2 || stats.Runs[0].Digest != stats.Runs[1].Digest {
+		t.Fatalf("runs = %+v, want two with one digest", stats.Runs)
 	}
 	s := stats.Result.Scheme("copy")
 	if s == nil {
@@ -71,7 +70,6 @@ func TestWorkloadFacadeScenarios(t *testing.T) {
 			genie.WithDepths(2),
 			genie.WithLoads(1),
 			genie.WithOps(6),
-			genie.WithWorkloadWorkers(1),
 		)
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
@@ -98,7 +96,6 @@ func TestWorkloadFacadeFaults(t *testing.T) {
 		genie.WithDepths(4),
 		genie.WithLoads(2),
 		genie.WithWorkloadFaults(spec),
-		genie.WithWorkloadWorkers(1, 2),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -54,151 +53,39 @@ func measureKey(s Setup, sem core.Semantics, length int) cacheKey {
 	}
 }
 
-// cacheEntry is one memoized measurement. done is closed once m and err
-// are final; until then, latecomers for the same key block on it
-// (single-flight).
-type cacheEntry struct {
-	done chan struct{}
-	m    Measurement
-	err  error
+// measureMemo is the package-wide single-flight memo of measurement
+// points consulted by Measure. Across a full geniebench run the figure
+// and table generators probe many identical (Setup, Semantics, length)
+// points — Figure 3, its throughput table, Table 7, and the OC-12
+// extension all re-measure the same max-datagram points, and Table 6
+// and Table 7 run the same instrumented sweeps — so each unique point
+// is simulated exactly once and shared by reference. The paper's thesis
+// is that redundant data handling dominates I/O cost; the harness takes
+// its own advice. Memoized Measurements (including their Records
+// slices) are shared across callers and must be treated as immutable.
+var measureMemo par.Memo[cacheKey, Measurement]
+
+// measureVia returns the point's measurement from memo, simulating it
+// on a miss.
+func measureVia(memo *par.Memo[cacheKey, Measurement], s Setup, sem core.Semantics, length int) (Measurement, error) {
+	return memo.Do(measureKey(s, sem, length), func() (Measurement, error) {
+		return measureUncached(s, sem, length)
+	})
 }
 
-// cacheShards is the number of lock-striped segments. A power of two so
-// the shard index is a mask of the key hash; 32 stripes keep lock
-// contention negligible at any plausible -parallel setting while the
-// per-shard maps stay dense.
-const cacheShards = 32
-
-// cacheShard is one lock-striped segment of the memo.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-}
-
-// shardIndex hashes the key's discriminating fields (FNV-1a) down to a
-// stripe. The hash only distributes — equality is still decided by the
-// full key inside the shard map.
-func shardIndex(k *cacheKey) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(k.model)
-	mix(uint64(k.scheme)<<32 | uint64(k.sem))
-	mix(uint64(k.length))
-	mix(uint64(k.devOff)<<20 | uint64(k.appOffset))
-	for i := 0; i < len(k.plane); i++ {
-		h ^= uint64(k.plane[i])
-		h *= prime
-	}
-	return h & (cacheShards - 1)
-}
-
-// Cache is a content-keyed, single-flight memo of measurement points.
-// Across a full geniebench run the figure and table generators probe
-// many identical (Setup, Semantics, length) points — Figure 3, its
-// throughput table, Table 7, and the OC-12 extension all re-measure the
-// same max-datagram points, and Table 6 and Table 7 run the same
-// instrumented sweeps — so each unique point is simulated exactly once
-// and shared by reference. Two parallel workers asking for the same
-// point never compute it twice: the first becomes the computer, the
-// rest wait on its entry. The paper's thesis is that redundant data
-// handling dominates I/O cost; the harness takes its own advice.
-//
-// The memo is lock-striped across cacheShards segments keyed by a hash
-// of the point, so parallel workers probing different points do not
-// serialize on one mutex; the BigSweep spot-check oracle in particular
-// drives it from every worker at once.
-//
-// A Cache is safe for concurrent use. Cached Measurements (including
-// their Records slices) are shared across callers and must be treated
-// as immutable.
-type Cache struct {
-	shards [cacheShards]cacheShard
-
-	hits   atomic.Uint64 // lookups satisfied by a completed entry
-	misses atomic.Uint64 // lookups that computed the point
-	waits  atomic.Uint64 // lookups that blocked on an in-flight computation
-}
-
-// NewCache returns an empty measurement cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
-	}
-	return c
-}
-
-// Measure returns the memoized measurement for the point, computing it
-// on a miss. Errors are memoized too: the simulation is deterministic,
-// so a failing point fails identically on every probe.
-func (c *Cache) Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
-	key := measureKey(s, sem, length)
-	sh := &c.shards[shardIndex(&key)]
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-			c.hits.Add(1)
-		default:
-			c.waits.Add(1)
-			<-e.done
-		}
-		return e.m, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	e.m, e.err = measureUncached(s, sem, length)
-	close(e.done)
-	return e.m, e.err
-}
-
-// Len returns the number of memoized points (including in-flight ones).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// measureCache is the package-wide cache consulted by Measure; nil
-// means caching is disabled (geniebench -nocache).
-var measureCache atomic.Pointer[Cache]
-
-func init() { measureCache.Store(NewCache()) }
-
-// SetCaching enables or disables the package-wide measurement cache
+// SetCaching enables or disables the package-wide measurement memo
 // used by Measure and every generator built on it. Disabling discards
-// the cache contents; re-enabling starts from an empty cache. Cached
-// and uncached runs produce byte-identical output — the cache only
-// removes redundant simulation.
-func SetCaching(on bool) {
-	if on {
-		if measureCache.Load() == nil {
-			measureCache.Store(NewCache())
-		}
-	} else {
-		measureCache.Store(nil)
-	}
-}
+// the memo contents and counters; re-enabling starts from an empty
+// memo. Cached and uncached runs produce byte-identical output — the
+// memo only removes redundant simulation.
+func SetCaching(on bool) { measureMemo.SetEnabled(on) }
 
-// CachingEnabled reports whether the package-wide cache is active.
-func CachingEnabled() bool { return measureCache.Load() != nil }
+// CachingEnabled reports whether the package-wide memo is active.
+func CachingEnabled() bool { return measureMemo.Enabled() }
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the measurement cache and the testbed recycler.
+// the measurement and workload-point memos and the testbed, cluster and
+// storage-rig recyclers.
 type PerfStats struct {
 	// CacheHits counts Measure calls satisfied by a completed memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -212,8 +99,8 @@ type PerfStats struct {
 	// TestbedsRecycled counts measurements served by a Reset testbed
 	// from a free list instead of a fresh construction.
 	TestbedsRecycled uint64 `json:"testbeds_recycled"`
-	// ResetFailures counts testbeds dropped because Reset failed; always
-	// zero unless a simulation leaked state.
+	// ResetFailures counts testbeds and storage rigs dropped because
+	// Reset failed; always zero unless a simulation leaked state.
 	ResetFailures uint64 `json:"reset_failures,omitempty"`
 	// AnalyticPoints counts measurement points served by the closed-form
 	// evaluator (EstimateAnalytic and BigSweep) instead of the simulator.
@@ -242,15 +129,6 @@ type PerfStats struct {
 	// ClusterResetFailures counts clusters dropped because Reset failed;
 	// always zero unless a simulation leaked state.
 	ClusterResetFailures uint64 `json:"cluster_reset_failures,omitempty"`
-	// StorageMemoHits counts storage sweep points served by a completed
-	// entry of the storage-point memo.
-	StorageMemoHits uint64 `json:"storage_memo_hits,omitempty"`
-	// StorageMemoMisses counts storage sweep points simulated from
-	// scratch.
-	StorageMemoMisses uint64 `json:"storage_memo_misses,omitempty"`
-	// StorageMemoWaits counts storage sweep points that blocked on
-	// another worker computing the same point (single-flight).
-	StorageMemoWaits uint64 `json:"storage_memo_waits,omitempty"`
 	// StorageRigsBuilt counts testbed+storage rigs constructed from
 	// scratch for storage sweep points.
 	StorageRigsBuilt uint64 `json:"storage_rigs_built,omitempty"`
@@ -262,10 +140,14 @@ type PerfStats struct {
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
 	wl := workload.Perf()
-	st := PerfStats{
-		TestbedsBuilt:        testbedsBuilt.Load(),
-		TestbedsRecycled:     testbedsRecycled.Load(),
-		ResetFailures:        testbedResetFailures.Load(),
+	ms, tb, rig := measureMemo.Stats(), testbeds.Stats(), storageRigs.Stats()
+	return PerfStats{
+		CacheHits:            ms.Hits,
+		CacheMisses:          ms.Misses,
+		CacheWaits:           ms.Waits,
+		TestbedsBuilt:        tb.Built,
+		TestbedsRecycled:     tb.Recycled,
+		ResetFailures:        tb.ResetFailures + rig.ResetFailures,
 		AnalyticPoints:       analyticPoints.Load(),
 		SimulatedSpotchecks:  simulatedSpotchecks.Load(),
 		MaxRelErr:            math.Float64frombits(analyticMaxRelErr.Load()),
@@ -275,35 +157,21 @@ func Perf() PerfStats {
 		ClustersBuilt:        wl.ClustersBuilt,
 		ClustersRecycled:     wl.ClustersRecycled,
 		ClusterResetFailures: wl.ClusterResetFailures,
-		StorageMemoHits:      storageMemoHits.Load(),
-		StorageMemoMisses:    storageMemoMisses.Load(),
-		StorageMemoWaits:     storageMemoWaits.Load(),
-		StorageRigsBuilt:     storageRigsBuilt.Load(),
-		StorageRigsRecycled:  storageRigsRecycled.Load(),
+		StorageRigsBuilt:     rig.Built,
+		StorageRigsRecycled:  rig.Recycled,
 	}
-	if c := measureCache.Load(); c != nil {
-		st.CacheHits = c.hits.Load()
-		st.CacheMisses = c.misses.Load()
-		st.CacheWaits = c.waits.Load()
-	}
-	return st
 }
 
-// ResetPerf discards the package-wide cache contents, testbed free
-// lists, and all performance counters, preserving the enabled/disabled
-// state of each layer. Tests and benchmarks use it to measure from a
-// cold start.
+// ResetPerf discards the package-wide memo contents, the testbed and
+// storage-rig free lists, and all performance counters, preserving the
+// enabled/disabled state of each layer. Tests and benchmarks use it to
+// measure from a cold start.
 func ResetPerf() {
-	if measureCache.Load() != nil {
-		measureCache.Store(NewCache())
-	}
-	testbedPools = sync.Map{}
-	testbedsBuilt.Store(0)
-	testbedsRecycled.Store(0)
-	testbedResetFailures.Store(0)
+	measureMemo.Clear()
+	testbeds.Clear()
+	storageRigs.Clear()
 	analyticPoints.Store(0)
 	simulatedSpotchecks.Store(0)
 	analyticMaxRelErr.Store(0)
-	resetStoragePerf()
 	workload.ResetPerf()
 }

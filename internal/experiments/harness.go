@@ -121,14 +121,14 @@ func (m Measurement) ThroughputMbps() float64 {
 // the measurement. Each point runs on its own private testbed, which
 // makes sweeps deterministic and independent, like the paper's
 // per-length runs on a quiet network. Identical points are memoized
-// (see Cache) and testbeds are recycled across points (see
+// (see measureMemo) and testbeds are recycled across points (see
 // SetRecycling); both layers are transparent — output is byte-identical
 // to a cold Measure on a fresh testbed.
 func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
-	// Traced runs bypass the memo cache: the caller wants the event
-	// stream, which only a real simulation produces.
-	if c := measureCache.Load(); c != nil && s.Tracer == nil {
-		return c.Measure(s, sem, length)
+	// Traced runs bypass the memo: the caller wants the event stream,
+	// which only a real simulation produces.
+	if s.Tracer == nil {
+		return measureVia(&measureMemo, s, sem, length)
 	}
 	return measureUncached(s, sem, length)
 }
@@ -139,7 +139,7 @@ func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
 // dropped.
 func measureUncached(s Setup, sem core.Semantics, length int) (Measurement, error) {
 	cfg := measureTestbedConfig(s)
-	tb, err := acquireTestbed(cfg)
+	tb, err := testbeds.Get(cfg, func() (*core.Testbed, error) { return core.NewTestbed(cfg) })
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -147,7 +147,7 @@ func measureUncached(s Setup, sem core.Semantics, length int) (Measurement, erro
 	if err != nil {
 		return Measurement{}, err
 	}
-	releaseTestbed(cfg, tb)
+	testbeds.Put(cfg, tb)
 	return m, nil
 }
 

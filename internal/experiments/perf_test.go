@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -162,12 +163,12 @@ func TestCacheSharesPointsAcrossGenerators(t *testing.T) {
 }
 
 // TestCacheSingleFlight asserts that concurrent workers asking for the
-// same point compute it exactly once: one miss, and every other caller
-// either waits on the in-flight computation or hits the completed
-// entry. Run under -race this also locks in the entry lifecycle.
+// same measurement point simulate it exactly once and all receive the
+// same Measurement. The memo's own single-flight contract is pinned in
+// internal/par.
 func TestCacheSingleFlight(t *testing.T) {
 	const workers = 16
-	c := NewCache()
+	var c par.Memo[cacheKey, Measurement]
 	s := Setup{Scheme: netsim.EarlyDemux}
 	var wg sync.WaitGroup
 	results := make([]Measurement, workers)
@@ -176,7 +177,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Measure(s, core.EmulatedCopy, 8192)
+			results[i], errs[i] = measureVia(&c, s, core.EmulatedCopy, 8192)
 		}(i)
 	}
 	wg.Wait()
@@ -188,14 +189,12 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("worker %d got a different measurement: %+v vs %+v", i, results[i], results[0])
 		}
 	}
-	if got := c.misses.Load(); got != 1 {
-		t.Errorf("misses = %d, want 1 (single-flight)", got)
+	st := c.Stats()
+	if st.Misses != 1 {
+		t.Errorf("misses = %d, want 1 (single-flight)", st.Misses)
 	}
-	if hw := c.hits.Load() + c.waits.Load(); hw != workers-1 {
+	if hw := st.Hits + st.Waits; hw != workers-1 {
 		t.Errorf("hits+waits = %d, want %d", hw, workers-1)
-	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
 	}
 }
 
@@ -204,7 +203,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // entries, while the zero Genie config must share with the explicit
 // defaults NewTestbed would substitute for it.
 func TestCacheDistinguishesSetups(t *testing.T) {
-	c := NewCache()
+	var c par.Memo[cacheKey, Measurement]
 	base := Setup{Scheme: netsim.EarlyDemux}
 	variants := []Setup{
 		{Scheme: netsim.Pooled},
@@ -218,27 +217,27 @@ func TestCacheDistinguishesSetups(t *testing.T) {
 		// free default, but its testbeds carry an injector: no sharing.
 		{Scheme: netsim.EarlyDemux, Faults: faults.Spec{Seed: 7}},
 	}
-	if _, err := c.Measure(base, core.Copy, 4096); err != nil {
+	if _, err := measureVia(&c, base, core.Copy, 4096); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range variants {
-		if _, err := c.Measure(v, core.Copy, 4096); err != nil {
+		if _, err := measureVia(&c, v, core.Copy, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := c.Len(), 1+len(variants); got != want {
-		t.Errorf("cache holds %d entries, want %d distinct ones", got, want)
+	if got, want := c.Stats().Misses, uint64(1+len(variants)); got != want {
+		t.Errorf("memo simulated %d points, want %d distinct ones", got, want)
 	}
 
 	// The zero config and the explicit defaults are the same simulation
 	// and must share one entry.
 	withDefaults := base
 	withDefaults.Genie = core.DefaultConfig()
-	if _, err := c.Measure(withDefaults, core.Copy, 4096); err != nil {
+	if _, err := measureVia(&c, withDefaults, core.Copy, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Len(), 1+len(variants); got != want {
-		t.Errorf("zero-value Genie config did not share the defaults' entry: %d entries, want %d", got, want)
+	if got, want := c.Stats().Misses, uint64(1+len(variants)); got != want {
+		t.Errorf("zero-value Genie config did not share the defaults' entry: %d points simulated, want %d", got, want)
 	}
 }
 

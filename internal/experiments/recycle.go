@@ -1,44 +1,29 @@
 package experiments
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // Testbed recycling: every cache miss needs a testbed — two hosts × 512
 // frames plus engine, VM, and netsim setup — and builds it only to
 // throw it away one datagram later. Testbed.Reset returns the whole
 // object graph to its post-construction state without reallocating
-// frame backing stores, so the runner keeps per-worker free lists of
-// Reset testbeds, one list per distinct configuration, and cache misses
-// reuse them instead of rebuilding. sync.Pool gives each worker
-// (strictly, each P) its own lock-free list; a Reset testbed simulates
-// bit-identically to a fresh one, so recycling cannot perturb output.
+// frame backing stores, so cache misses reuse Reset testbeds, one free
+// list per distinct core.TestbedConfig (comparable by value), instead
+// of rebuilding. A Reset testbed simulates bit-identically to a fresh
+// one, so recycling cannot perturb output.
+var testbeds par.Pool[core.TestbedConfig, *core.Testbed]
 
-// testbedPools maps core.TestbedConfig (comparable by value) to a
-// *sync.Pool of Reset *core.Testbed ready for reuse.
-var testbedPools sync.Map
-
-var (
-	testbedsBuilt        atomic.Uint64
-	testbedsRecycled     atomic.Uint64
-	testbedResetFailures atomic.Uint64
-)
-
-// recycling gates testbed reuse; 1 = on (the default).
-var recyclingOff atomic.Bool
-
-// SetRecycling enables or disables testbed recycling. Disabling drops
-// nothing eagerly — pooled testbeds simply stop being handed out (and
-// collected); re-enabling resumes reuse. Recycled and fresh testbeds
-// simulate bit-identically, so the toggle exists for benchmarking and
-// fault isolation, not correctness.
-func SetRecycling(on bool) { recyclingOff.Store(!on) }
+// SetRecycling enables or disables testbed and storage-rig recycling.
+// Disabling drops nothing eagerly — pooled objects simply stop being
+// handed out (and collected); re-enabling resumes reuse. Recycled and
+// fresh testbeds simulate bit-identically, so the toggle exists for
+// benchmarking and fault isolation, not correctness.
+func SetRecycling(on bool) { testbeds.SetEnabled(on); storageRigs.SetEnabled(on) }
 
 // RecyclingEnabled reports whether testbed recycling is active.
-func RecyclingEnabled() bool { return !recyclingOff.Load() }
+func RecyclingEnabled() bool { return testbeds.Enabled() }
 
 // measureTestbedConfig is the testbed configuration Measure uses for a
 // given Setup. It must stay a pure function of the Setup fields that
@@ -52,35 +37,4 @@ func measureTestbedConfig(s Setup) core.TestbedConfig {
 		Plane:      s.plane(),
 		Faults:     s.Faults,
 	}
-}
-
-// acquireTestbed returns a ready-to-use testbed for the configuration:
-// a recycled one from the worker's free list when available, a freshly
-// built one otherwise.
-func acquireTestbed(cfg core.TestbedConfig) (*core.Testbed, error) {
-	if !recyclingOff.Load() {
-		if p, ok := testbedPools.Load(cfg); ok {
-			if v := p.(*sync.Pool).Get(); v != nil {
-				testbedsRecycled.Add(1)
-				return v.(*core.Testbed), nil
-			}
-		}
-	}
-	testbedsBuilt.Add(1)
-	return core.NewTestbed(cfg)
-}
-
-// releaseTestbed Resets the testbed and returns it to the free list for
-// its configuration. A testbed whose Reset fails (a leaked invariant in
-// the simulation) is dropped rather than reused.
-func releaseTestbed(cfg core.TestbedConfig, tb *core.Testbed) {
-	if recyclingOff.Load() {
-		return
-	}
-	if err := tb.Reset(); err != nil {
-		testbedResetFailures.Add(1)
-		return
-	}
-	p, _ := testbedPools.LoadOrStore(cfg, &sync.Pool{})
-	p.(*sync.Pool).Put(tb)
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockdev"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/digest"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/vm"
 )
 
@@ -23,8 +22,8 @@ import (
 // and reports per-op CPU and latency next to the cache's hit ratio and
 // writeback-burst accounting. The whole sweep runs under the same
 // determinism oracle as the network experiments: points fan across
-// worker goroutines, every point is memoized single-flight, and the
-// canonical-order digest must be bit-identical at any worker count.
+// worker goroutines, rigs are recycled, and the canonical-order digest
+// must be bit-identical at any worker count.
 
 // StorageConfig parameterizes the sweep grid and the verification run.
 type StorageConfig struct {
@@ -43,8 +42,8 @@ type StorageConfig struct {
 	// Disk overrides the device cost model; zero → blockdev defaults.
 	Disk blockdev.Model
 	// Workers lists the point-fan-out worker counts to compare; empty →
-	// 1 and 4. The first run is the baseline; later runs verify against
-	// the point memo and must reproduce its digest bit for bit.
+	// 1 and 4. The first run is the baseline; later runs simulate every
+	// point again and must reproduce its digest bit for bit.
 	Workers []int
 }
 
@@ -112,25 +111,6 @@ type storageKey struct {
 	disk           blockdev.Model
 }
 
-// storageEntry is one memoized point (single-flight, errors included).
-type storageEntry struct {
-	done chan struct{}
-	p    StoragePoint
-	err  error
-}
-
-var (
-	storageMemoMu sync.Mutex
-	storageMemo   = map[storageKey]*storageEntry{}
-
-	storageMemoHits   atomic.Uint64
-	storageMemoMisses atomic.Uint64
-	storageMemoWaits  atomic.Uint64
-
-	storageRigsBuilt    atomic.Uint64
-	storageRigsRecycled atomic.Uint64
-)
-
 // storageRig pairs a testbed with its storage stack for recycling: the
 // stack's kernel object is created before any process, so a Reset +
 // Reacquire rig replays a fresh one bit for bit.
@@ -139,19 +119,21 @@ type storageRig struct {
 	st *core.Storage
 }
 
-// storageRigPools maps disk configuration to a *sync.Pool of recycled
-// rigs (the testbed configuration is fixed: the stock single-pair bed).
-var storageRigPools sync.Map
-
-func acquireStorageRig(disk core.DiskConfig) (*storageRig, error) {
-	if !recyclingOff.Load() {
-		if p, ok := storageRigPools.Load(disk); ok {
-			if v := p.(*sync.Pool).Get(); v != nil {
-				storageRigsRecycled.Add(1)
-				return v.(*storageRig), nil
-			}
-		}
+// Reset returns the rig to its post-construction state.
+func (r *storageRig) Reset() error {
+	if err := r.tb.Reset(); err != nil {
+		return err
 	}
+	r.st.Reacquire()
+	return nil
+}
+
+// storageRigs recycles rigs, one free list per disk configuration (the
+// testbed configuration is fixed: the stock single-pair bed).
+var storageRigs par.Pool[core.DiskConfig, *storageRig]
+
+// newStorageRig builds a fresh rig for the disk configuration.
+func newStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	tb, err := core.NewTestbed(core.TestbedConfig{})
 	if err != nil {
 		return nil, err
@@ -160,21 +142,7 @@ func acquireStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	storageRigsBuilt.Add(1)
 	return &storageRig{tb: tb, st: st}, nil
-}
-
-func releaseStorageRig(disk core.DiskConfig, r *storageRig) {
-	if recyclingOff.Load() {
-		return
-	}
-	if err := r.tb.Reset(); err != nil {
-		testbedResetFailures.Add(1)
-		return
-	}
-	r.st.Reacquire()
-	p, _ := storageRigPools.LoadOrStore(disk, &sync.Pool{})
-	p.(*sync.Pool).Put(r)
 }
 
 // storageImage returns the deterministic content of file block b.
@@ -198,7 +166,7 @@ func runStoragePoint(k storageKey) (StoragePoint, error) {
 		ReadAhead:      k.readAhead,
 		DirtyThreshold: k.dirtyThreshold,
 	}
-	rig, err := acquireStorageRig(disk)
+	rig, err := storageRigs.Get(disk, func() (*storageRig, error) { return newStorageRig(disk) })
 	if err != nil {
 		return StoragePoint{}, err
 	}
@@ -329,66 +297,8 @@ func runStoragePoint(k storageKey) (StoragePoint, error) {
 	dv := s.Device().Stats()
 	pt.DeviceSeeks = dv.Seeks
 	pt.DeviceBusyUS = dv.BusyUS
-	releaseStorageRig(disk, rig)
+	storageRigs.Put(disk, rig)
 	return pt, nil
-}
-
-// measureStoragePoint is the memoized entry: single-flight per key, so
-// concurrent workers (and later verification runs) never simulate the
-// same point twice.
-func measureStoragePoint(k storageKey) (StoragePoint, error) {
-	storageMemoMu.Lock()
-	if e, ok := storageMemo[k]; ok {
-		storageMemoMu.Unlock()
-		select {
-		case <-e.done:
-			storageMemoHits.Add(1)
-		default:
-			storageMemoWaits.Add(1)
-			<-e.done
-		}
-		return e.p, e.err
-	}
-	e := &storageEntry{done: make(chan struct{})}
-	storageMemo[k] = e
-	storageMemoMu.Unlock()
-	storageMemoMisses.Add(1)
-	e.p, e.err = runStoragePoint(k)
-	close(e.done)
-	return e.p, e.err
-}
-
-// storageFanOut runs fn(i) for i in [0, n) across pw goroutines
-// claiming indices off a shared counter; fn writes caller-owned
-// index-i storage. (The workload package keeps an identical helper
-// unexported; the shape is small enough to duplicate rather than
-// export.)
-func storageFanOut(n, pw int, fn func(i int)) {
-	if pw > n {
-		pw = n
-	}
-	if pw < 1 {
-		pw = 1
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	for k := pw; k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (cfg StorageConfig) grid() []storageKey {
@@ -429,14 +339,12 @@ func (cfg StorageConfig) grid() []storageKey {
 // folds the canonical-order digest.
 func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
 	points := make([]StoragePoint, len(keys))
-	errs := make([]error, len(keys))
-	storageFanOut(len(keys), pw, func(i int) {
-		points[i], errs[i] = measureStoragePoint(keys[i])
+	err := par.ForEach(len(keys), pw, func(i int) (err error) {
+		points[i], err = runStoragePoint(keys[i])
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 	d := digest.New()
 	for _, pt := range points {
@@ -507,8 +415,8 @@ func storageCrossovers(points []StoragePoint) []StorageCrossover {
 
 // RunStorage executes the storage sweep at every configured
 // point-worker count. The first run is the reported baseline; every
-// later run — served largely by the point memo — must reproduce its
-// digest bit for bit, or Deterministic flips to false.
+// later run simulates each point again on recycled rigs and must
+// reproduce its digest bit for bit, or Deterministic flips to false.
 func RunStorage(cfg StorageConfig) (*StorageReport, error) {
 	workers := cfg.Workers
 	if len(workers) == 0 {
@@ -545,18 +453,4 @@ func RunStorage(cfg StorageConfig) (*StorageReport, error) {
 	rep.Crossovers = storageCrossovers(rep.Points)
 	rep.Perf = Perf()
 	return rep, nil
-}
-
-// resetStoragePerf clears the storage memo, rig pools, and counters;
-// hooked into the package-wide ResetPerf.
-func resetStoragePerf() {
-	storageMemoMu.Lock()
-	storageMemo = map[storageKey]*storageEntry{}
-	storageMemoMu.Unlock()
-	storageRigPools = sync.Map{}
-	storageMemoHits.Store(0)
-	storageMemoMisses.Store(0)
-	storageMemoWaits.Store(0)
-	storageRigsBuilt.Store(0)
-	storageRigsRecycled.Store(0)
 }

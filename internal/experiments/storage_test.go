@@ -19,8 +19,9 @@ func smallStorageConfig() StorageConfig {
 	}
 }
 
-// The sweep's digest must be bit-identical at 1 and 4 point workers —
-// the memo serves the second run, and a fresh memo must agree too.
+// The sweep's digest must be bit-identical at 1 and 4 point workers,
+// and the second run must really simulate every point again — on
+// recycled or fresh rigs — rather than replay the first.
 func TestRunStorageDeterministic(t *testing.T) {
 	ResetPerf()
 	rep, err := RunStorage(smallStorageConfig())
@@ -37,16 +38,13 @@ func TestRunStorageDeterministic(t *testing.T) {
 		t.Fatal("empty sweep")
 	}
 	perf := rep.Perf
-	if perf.StorageMemoMisses != uint64(rep.Runs[0].Points) {
-		t.Fatalf("memo misses %d, want one per point (%d)",
-			perf.StorageMemoMisses, rep.Runs[0].Points)
-	}
-	if perf.StorageMemoHits+perf.StorageMemoWaits == 0 {
-		t.Fatal("second run never touched the memo")
+	if got, want := perf.StorageRigsBuilt+perf.StorageRigsRecycled, uint64(2*rep.Runs[0].Points); got != want {
+		t.Fatalf("rigs built %d + recycled %d = %d, want one per point per run (%d)",
+			perf.StorageRigsBuilt, perf.StorageRigsRecycled, got, want)
 	}
 
-	// A cold memo and fresh rigs must reproduce the digest bit for bit
-	// — recycling and memoization are observably invisible.
+	// Fresh rigs must reproduce the digest bit for bit — recycling is
+	// observably invisible.
 	ResetPerf()
 	cold, err := RunStorage(StorageConfig{
 		Semantics:       smallStorageConfig().Semantics,

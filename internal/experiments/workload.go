@@ -8,66 +8,63 @@ import (
 )
 
 // The closed-loop workload experiment: run one backpressure sweep
-// (semantics × queue depth × offered load, see internal/workload) at
-// several worker counts, digest-compare the runs, and report the
-// serial baseline's schemes. This is the same determinism discipline
-// as the cluster benchmarks — the digest folds every latency sample,
-// counter, and high-water mark, so a single worker-count-dependent
-// perturbation anywhere in the stack flips Deterministic to false.
+// (semantics × queue depth × offered load, see internal/workload)
+// twice, digest-compare the runs, and report the first run's schemes.
+// This is the same determinism discipline as the cluster benchmarks —
+// the digest folds every latency sample, counter, and high-water mark,
+// so a single perturbation anywhere in the stack flips Deterministic to
+// false.
 //
-// The sweep itself runs on the full PR 1 + PR 2 optimization stack
-// brought to the cluster layer: independent (semantics, depth, load)
-// points fan across PointWorkers goroutines, each point reuses a warm
-// Reset cluster from the recycler, and the workload-point memo makes
-// every worker count after the first verify against memoized points
-// instead of recomputing — the default {1, 4} verification run costs
-// about one sweep, not two. All of it is observably identical to the
+// The sweep itself runs on the full optimization stack brought to the
+// cluster layer: independent (semantics, depth, load) points fan across
+// PointWorkers goroutines, each point reuses a warm Reset cluster from
+// the recycler, and the workload-point memo serves the second run
+// instead of recomputing it. All of it is observably identical to the
 // cold serial path (byte-identical digests); CompareSerialCold measures
 // exactly that claim.
 
+// workloadRuns is the number of sweeps RunWorkload digest-compares, in
+// each regime it times.
+const workloadRuns = 2
+
 // WorkloadConfig parameterizes the experiment: the sweep itself plus
-// the worker counts to compare.
+// how it fans out.
 type WorkloadConfig struct {
 	workload.Config
-	// Workers lists the worker counts to run the sweep at, one
-	// digest-compared run each; empty → 1 and 4. The count has no
-	// effect on execution: each point's cluster advances serially.
-	Workers []int
 	// PointWorkers is the number of goroutines independent (semantics,
 	// depth, load) points fan across. 0 adopts the package-wide
 	// parallelism (SetParallelism / geniebench -parallel, defaulting to
 	// GOMAXPROCS); 1 is the strictly serial walk. Results are
 	// byte-identical at any value.
 	PointWorkers int
-	// CompareSerialCold, when set, first times the entire verification
-	// run in the PR 8 regime — one point at a time, no memo, no cluster
-	// recycling — and reports the optimized run's speedup over it. The
-	// cold digest participates in the determinism verdict.
+	// CompareSerialCold, when set, first times the same two runs in the
+	// serial/cold regime — one point at a time, no memo, no cluster
+	// recycling — and reports the optimized runs' speedup over them.
+	// Both cold digests participate in the determinism verdict.
 	CompareSerialCold bool
 }
 
-// WorkloadWorkerRun is one full sweep at a fixed worker count.
-type WorkloadWorkerRun struct {
-	Workers      int     `json:"workers"`
+// WorkloadRun is one full sweep.
+type WorkloadRun struct {
 	Digest       string  `json:"digest"`
 	CompletedOps uint64  `json:"completed_ops"`
 	ElapsedSec   float64 `json:"elapsed_sec"`
 }
 
-// WorkloadReport is the experiment outcome: the serial baseline's full
-// sweep, the per-worker-count digests, and the determinism verdict.
+// WorkloadReport is the experiment outcome: the first run's full
+// sweep, every run's digest, and the determinism verdict.
 type WorkloadReport struct {
-	Scenario      string              `json:"scenario"`
-	GOMAXPROCS    int                 `json:"gomaxprocs"`
-	NumCPU        int                 `json:"num_cpu"`
-	PointWorkers  int                 `json:"point_workers"`
-	Result        *workload.Result    `json:"result"`
-	Runs          []WorkloadWorkerRun `json:"runs"`
-	Deterministic bool                `json:"deterministic"`
-	// SerialColdSec is the wall-clock of the whole verification run in
-	// the serial/cold regime (CompareSerialCold only).
+	Scenario      string           `json:"scenario"`
+	GOMAXPROCS    int              `json:"gomaxprocs"`
+	NumCPU        int              `json:"num_cpu"`
+	PointWorkers  int              `json:"point_workers"`
+	Result        *workload.Result `json:"result"`
+	Runs          []WorkloadRun    `json:"runs"`
+	Deterministic bool             `json:"deterministic"`
+	// SerialColdSec is the wall-clock of the runs in the serial/cold
+	// regime (CompareSerialCold only).
 	SerialColdSec float64 `json:"serial_cold_sec,omitempty"`
-	// OptimizedSec is the wall-clock of the optimized verification run
+	// OptimizedSec is the wall-clock of the optimized runs
 	// (point-parallel + recycled + memo-served), summed over Runs.
 	OptimizedSec float64 `json:"optimized_sec,omitempty"`
 	// Speedup is SerialColdSec / OptimizedSec (CompareSerialCold only).
@@ -78,16 +75,10 @@ type WorkloadReport struct {
 	Perf PerfStats `json:"perf"`
 }
 
-// RunWorkload executes the sweep at every configured worker count. The
-// first run (workers=1 unless overridden) is the reported baseline;
-// every other run must reproduce its digest bit for bit — simulating
-// each point at most once in total, because the later runs verify
-// against the workload-point memo.
+// RunWorkload executes the sweep twice. The first run is the reported
+// baseline; the second must reproduce its digest bit for bit. With the
+// memo on, the second run is served from it without simulating.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
-	workers := cfg.Workers
-	if len(workers) == 0 {
-		workers = []int{1, 4}
-	}
 	pointWorkers := cfg.PointWorkers
 	if pointWorkers == 0 {
 		pointWorkers = Parallelism()
@@ -99,44 +90,23 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 		Deterministic: true,
 	}
 
-	coldDigest := ""
+	var coldDigests []string
 	if cfg.CompareSerialCold {
-		memoWas, recycleWas := workload.PointMemoEnabled(), workload.ClusterRecyclingEnabled()
-		workload.SetPointMemo(false)
-		workload.SetClusterRecycling(false)
-		start := time.Now()
-		for _, w := range workers {
-			if w < 1 {
-				w = 1
-			}
-			res, err := workload.Run(cfg.Config, w)
-			if err != nil {
-				workload.SetPointMemo(memoWas)
-				workload.SetClusterRecycling(recycleWas)
-				return nil, err
-			}
-			if coldDigest == "" {
-				coldDigest = res.Digest
-			}
+		var err error
+		if coldDigests, rep.SerialColdSec, err = runSerialCold(cfg.Config); err != nil {
+			return nil, err
 		}
-		rep.SerialColdSec = time.Since(start).Seconds()
-		workload.SetPointMemo(memoWas)
-		workload.SetClusterRecycling(recycleWas)
 	}
 
-	for _, w := range workers {
-		if w < 1 {
-			w = 1
-		}
+	for i := 0; i < workloadRuns; i++ {
 		start := time.Now()
-		res, err := workload.RunParallel(cfg.Config, w, pointWorkers)
+		res, err := workload.RunParallel(cfg.Config, 1, pointWorkers)
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start).Seconds()
 		rep.OptimizedSec += elapsed
-		rep.Runs = append(rep.Runs, WorkloadWorkerRun{
-			Workers:      w,
+		rep.Runs = append(rep.Runs, WorkloadRun{
 			Digest:       res.Digest,
 			CompletedOps: res.CompletedOps,
 			ElapsedSec:   elapsed,
@@ -148,14 +118,37 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 			rep.Deterministic = false
 		}
 	}
-	if coldDigest != "" {
-		if coldDigest != rep.Result.Digest {
+	for _, dg := range coldDigests {
+		if dg != rep.Result.Digest {
 			rep.Deterministic = false
 		}
-		if rep.OptimizedSec > 0 {
-			rep.Speedup = rep.SerialColdSec / rep.OptimizedSec
-		}
+	}
+	if cfg.CompareSerialCold && rep.OptimizedSec > 0 {
+		rep.Speedup = rep.SerialColdSec / rep.OptimizedSec
 	}
 	rep.Perf = Perf()
 	return rep, nil
+}
+
+// runSerialCold runs the sweep workloadRuns times in the serial/cold
+// regime — one point at a time, no memo, no cluster recycling — and
+// returns every run's digest and the total wall-clock. The memo and
+// recycling switches are restored on return.
+func runSerialCold(cfg workload.Config) (digests []string, sec float64, err error) {
+	memoWas, recycleWas := workload.PointMemoEnabled(), workload.ClusterRecyclingEnabled()
+	workload.SetPointMemo(false)
+	workload.SetClusterRecycling(false)
+	defer func() {
+		workload.SetPointMemo(memoWas)
+		workload.SetClusterRecycling(recycleWas)
+	}()
+	start := time.Now()
+	for i := 0; i < workloadRuns; i++ {
+		res, err := workload.Run(cfg, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		digests = append(digests, res.Digest)
+	}
+	return digests, time.Since(start).Seconds(), nil
 }

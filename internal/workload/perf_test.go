@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -124,54 +122,15 @@ func TestRegimesDigestIdentity(t *testing.T) {
 	}
 }
 
-// TestPointWorkerResolution pins the fan-out arithmetic: explicit
-// counts pass through, non-positive adopts GOMAXPROCS, and the sweep
-// clamp never exceeds the grid.
+// TestPointWorkerResolution pins the reported point-worker count:
+// explicit counts pass through and non-positive adopts GOMAXPROCS. The
+// fan-out's own clamp to the grid lives in par.ForEach.
 func TestPointWorkerResolution(t *testing.T) {
 	if got := ResolvePointWorkers(3); got != 3 {
 		t.Errorf("ResolvePointWorkers(3) = %d", got)
 	}
 	if got := ResolvePointWorkers(0); got < 1 {
 		t.Errorf("ResolvePointWorkers(0) = %d, want >= 1", got)
-	}
-	if got := resolvePointWorkers(64, 5); got != 5 {
-		t.Errorf("resolvePointWorkers(64, 5) = %d, want clamped to 5", got)
-	}
-	if got := resolvePointWorkers(1, 100); got != 1 {
-		t.Errorf("resolvePointWorkers(1, 100) = %d", got)
-	}
-}
-
-// TestFanOutPointsErrorDeterminism: when several racing point workers
-// hit failing grid cells, the executor must surface the lowest-index
-// failure — the one the serial walk would have stopped at — no matter
-// which worker reached it first, and must not abandon cells before it.
-func TestFanOutPointsErrorDeterminism(t *testing.T) {
-	const n = 64
-	for _, pw := range []int{1, 2, 8} {
-		errs := make([]error, n)
-		var ran [n]atomic.Bool
-		fanOutPoints(n, pw, func(i int) {
-			ran[i].Store(true)
-			if i == 17 || i == 40 {
-				errs[i] = fmt.Errorf("cell %d failed", i)
-			}
-		}, errs)
-		firstErr := -1
-		for i, err := range errs {
-			if err != nil {
-				firstErr = i
-				break
-			}
-		}
-		if firstErr != 17 {
-			t.Errorf("pw=%d: first error at index %d, want 17", pw, firstErr)
-		}
-		for i := 0; i <= 17; i++ {
-			if !ran[i].Load() {
-				t.Errorf("pw=%d: cell %d before the failure never ran", pw, i)
-			}
-		}
 	}
 }
 
