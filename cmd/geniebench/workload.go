@@ -15,37 +15,20 @@ import (
 	"repro/internal/workload"
 )
 
-// parseSemanticsList resolves a comma-separated semantics list against
-// the canonical names of core.AllSemantics(). Hyphens may stand in for
-// the spaces in multi-word names, so shells need no quoting:
-// "copy,emulated-copy" == "copy,emulated copy".
+// parseSemanticsList resolves a comma-separated semantics list with
+// core.ParseSemantics, so hyphens may stand in for the spaces in
+// multi-word names: "copy,emulated-copy" == "copy,emulated copy".
 func parseSemanticsList(s string) ([]core.Semantics, error) {
 	if s == "" {
 		return nil, nil
 	}
-	canon := func(name string) string {
-		return strings.ReplaceAll(strings.TrimSpace(strings.ToLower(name)), "-", " ")
-	}
-	all := core.AllSemantics()
 	var out []core.Semantics
 	for _, f := range strings.Split(s, ",") {
-		want := canon(f)
-		found := false
-		for _, sem := range all {
-			if canon(sem.String()) == want {
-				out = append(out, sem)
-				found = true
-				break
-			}
+		sem, err := core.ParseSemantics(f)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			names := make([]string, len(all))
-			for i, sem := range all {
-				names[i] = strings.ReplaceAll(sem.String(), " ", "-")
-			}
-			return nil, fmt.Errorf("unknown semantics %q (want one of %s)",
-				strings.TrimSpace(f), strings.Join(names, ", "))
-		}
+		out = append(out, sem)
 	}
 	return out, nil
 }

@@ -33,13 +33,9 @@ func main() {
 	chromePath := flag.String("chrome", "", "also write the trace as Chrome trace_event JSON to this path")
 	flag.Parse()
 
-	sem, ok := parseSemantics(*semName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "genietrace: unknown semantics %q; one of:", *semName)
-		for _, s := range core.AllSemantics() {
-			fmt.Fprintf(os.Stderr, " %q", s.String())
-		}
-		fmt.Fprintln(os.Stderr)
+	sem, err := core.ParseSemantics(*semName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "genietrace:", err)
 		os.Exit(2)
 	}
 	var buffering netsim.InputBuffering
@@ -157,13 +153,4 @@ var stageSummary = map[string]bool{
 	"output.prepare": true,
 	"output.dispose": true,
 	"input.dispose":  true,
-}
-
-func parseSemantics(name string) (core.Semantics, bool) {
-	for _, s := range core.AllSemantics() {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
 }

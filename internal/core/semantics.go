@@ -24,6 +24,11 @@
 // (outboard buffering).
 package core
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Semantics selects a buffering semantics from the paper's taxonomy.
 type Semantics int
 
@@ -65,6 +70,24 @@ func (s Semantics) String() string {
 		return semanticsNames[s]
 	}
 	return "Semantics?"
+}
+
+// ParseSemantics returns the semantics whose String() is name, ignoring
+// case and surrounding space. A hyphen may stand in for each space, so
+// "emulated-copy" needs no shell quoting.
+func ParseSemantics(name string) (Semantics, error) {
+	want := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(name)), "-", " ")
+	for i, n := range semanticsNames {
+		if n == want {
+			return Semantics(i), nil
+		}
+	}
+	names := make([]string, len(semanticsNames))
+	for i, n := range semanticsNames {
+		names[i] = strings.ReplaceAll(n, " ", "-")
+	}
+	return 0, fmt.Errorf("core: unknown semantics %q (want one of %s)",
+		strings.TrimSpace(name), strings.Join(names, ", "))
 }
 
 // Valid reports whether s names a semantics in the taxonomy.

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTaxonomyDimensions(t *testing.T) {
 	cases := []struct {
@@ -64,4 +67,33 @@ func TestTaxonomyIsComplete(t *testing.T) {
 	if len(seen) != 8 {
 		t.Errorf("taxonomy covers %d cells, want 8", len(seen))
 	}
+}
+
+// FuzzParseSemantics checks that no input panics ParseSemantics, that
+// every name parses to its semantics hyphenated and upper-cased, and
+// that whatever parses re-parses from its String() to the same value.
+func FuzzParseSemantics(f *testing.F) {
+	for _, s := range AllSemantics() {
+		for _, name := range []string{
+			strings.ReplaceAll(s.String(), " ", "-"),
+			strings.ToUpper(s.String()),
+		} {
+			if got, err := ParseSemantics(name); err != nil || got != s {
+				f.Fatalf("ParseSemantics(%q) = %v, %v; want %v", name, got, err, s)
+			}
+			f.Add(name)
+		}
+	}
+	f.Add("Emulated-Copy ")
+	f.Add("telepathy")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		sem, err := ParseSemantics(in)
+		if err != nil {
+			return
+		}
+		if again, err := ParseSemantics(sem.String()); err != nil || again != sem {
+			t.Fatalf("ParseSemantics(%q) = %v, but its String() re-parses to %v, %v", in, sem, again, err)
+		}
+	})
 }

@@ -196,3 +196,27 @@ func TestCorruptOffsetsInRange(t *testing.T) {
 		t.Error("zero-length frame corrupted")
 	}
 }
+
+// FuzzParseSpec checks that no input panics ParseSpec, and that every
+// spec it accepts round-trips through String() to an equal Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "seed=1", "seed=42,drop=0.05,dup=0.03,reorder=0.02,corrupt=0.01,allocfail=0.02,pooldeny=0.04",
+		" seed=7 , drop=0.5 , duplicate=0.25 ", "drop=1e-3", "drop", "seed=-1", "drop=NaN", "drop=0x1p-2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %#v, but its String() %q does not parse: %v", in, spec, spec.String(), err)
+		}
+		if again != spec {
+			t.Fatalf("ParseSpec(%q) = %#v; String() %q re-parses to %#v", in, spec, spec.String(), again)
+		}
+	})
+}

@@ -130,7 +130,7 @@ func (c *Cluster) Run() Time {
 
 // Reset returns the cluster to its post-construction state: every shard
 // engine rewinds to time zero with no pending events (retaining its
-// event arena, free list, and wheel backings warm), and every staged
+// event arena, heap, and free list warm), and every staged
 // cross-shard post is discarded, and the counters clear. The lookahead
 // is a construction-time property and survives. A Reset cluster
 // advances a subsequent simulation bit-identically to a freshly built

@@ -73,23 +73,25 @@ func (r *refEngine) step() bool {
 	return false
 }
 
-func (r *refEngine) runUntil(t Time) {
+// runBefore fires every live event strictly before t and reports how
+// many fired, leaving the clock at the last one, as Engine.RunBefore does.
+func (r *refEngine) runBefore(t Time) int {
+	ran := 0
 	for len(r.queue) > 0 {
 		ev := r.queue[0]
 		if ev.cancel {
 			heap.Pop(&r.queue)
 			continue
 		}
-		if ev.at > t {
+		if ev.at >= t {
 			break
 		}
 		heap.Pop(&r.queue)
 		r.now = ev.at
 		r.fired = append(r.fired, ev.id)
+		ran++
 	}
-	if r.now < t {
-		r.now = t
-	}
+	return ran
 }
 
 // TestPropertyArenaMatchesReferenceHeap drives the arena engine and the
@@ -136,10 +138,11 @@ func TestPropertyArenaMatchesReferenceHeap(t *testing.T) {
 				if got != want {
 					t.Fatalf("trial %d op %d: Step()=%v, reference %v", trial, op, got, want)
 				}
-			default: // run until a nearby time
+			default: // run up to a nearby bound
 				target := e.Now().Add(Duration(rng.Intn(60)))
-				e.RunUntil(target)
-				ref.runUntil(target)
+				if got, want := e.RunBefore(target), ref.runBefore(target); got != want {
+					t.Fatalf("trial %d op %d: RunBefore ran %d, reference %d", trial, op, got, want)
+				}
 			}
 			if e.Now() != ref.now {
 				t.Fatalf("trial %d op %d: clock %v, reference %v", trial, op, e.Now(), ref.now)

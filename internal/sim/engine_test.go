@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -117,48 +118,6 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var count int
-	for _, d := range []Duration{10, 20, 30, 40} {
-		e.Schedule(d, func() { count++ })
-	}
-	e.RunUntil(25)
-	if count != 2 {
-		t.Fatalf("count after RunUntil(25) = %d, want 2", count)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock = %v, want 25", e.Now())
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("count after Run = %d, want 4", count)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := New()
-	e.RunUntil(500)
-	if e.Now() != 500 {
-		t.Fatalf("clock = %v, want 500", e.Now())
-	}
-}
-
-func TestRunSteps(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Duration(i), func() { count++ })
-	}
-	ran := e.RunSteps(3)
-	if ran != 3 || count != 3 {
-		t.Fatalf("ran=%d count=%d, want 3/3", ran, count)
-	}
-	if got := e.RunSteps(100); got != 7 {
-		t.Fatalf("second RunSteps ran %d, want 7", got)
-	}
-}
-
 func TestStepsCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 5; i++ {
@@ -240,9 +199,9 @@ func TestPropertyAllEventsFire(t *testing.T) {
 	}
 }
 
-// RunUntil must discard a run of cancelled events in a single pass —
+// RunBefore must discard a run of cancelled events in a single pass —
 // every cancelled event is popped and recycled exactly once — while
-// firing the surviving events in order and stopping at the horizon.
+// firing the surviving events in order and stopping at the bound.
 func TestRunUntilSkipsCancelledSinglePass(t *testing.T) {
 	e := New()
 	var order []int
@@ -256,12 +215,14 @@ func TestRunUntilSkipsCancelledSinglePass(t *testing.T) {
 	c2.Cancel()
 	c3.Cancel()
 
-	e.RunUntil(30)
+	if ran := e.RunBefore(30); ran != 2 {
+		t.Fatalf("RunBefore(30) ran %d events, want 2", ran)
+	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", order)
 	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", e.Now())
+	if e.Now() != 25 {
+		t.Fatalf("clock = %v, want 25", e.Now())
 	}
 	if e.Steps() != 2 {
 		t.Fatalf("Steps = %d, want 2 (cancelled events must not count)", e.Steps())
@@ -311,9 +272,14 @@ func TestEventPoolReuse(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state Schedule+Run allocates %.1f times per run, want 0", allocs)
 	}
+	// AllocsPerRun rounds down, so a leak the arena absorbs by doubling
+	// reads 0 allocs; the slot count catches it.
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run fired every event, want 0", e.Pending())
+	}
 }
 
-// Cancelled events discarded by RunUntil must also return to the pool.
+// Cancelled events discarded by RunBefore must also return to the pool.
 func TestRunUntilRecyclesCancelledEvents(t *testing.T) {
 	e := New()
 	fn := func() {}
@@ -325,10 +291,13 @@ func TestRunUntilRecyclesCancelledEvents(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e.Schedule(Duration(i+1), fn).Cancel()
 		}
-		e.RunUntil(e.Now() + 10)
+		e.RunBefore(e.Now() + 10)
 	})
 	if allocs > 0 {
 		t.Fatalf("cancelled-event discard allocates %.1f times per run, want 0", allocs)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after discarding every cancelled event, want 0", e.Pending())
 	}
 }
 
@@ -360,7 +329,6 @@ func TestReset(t *testing.T) {
 	fired := false
 	e.Schedule(5, func() { fired = true })
 	stale := e.Schedule(10, func() { fired = true })
-	e.RunSteps(0) // leave both pending
 
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 {
@@ -382,5 +350,187 @@ func TestReset(t *testing.T) {
 	}
 	if e.Steps() != 1 {
 		t.Fatalf("steps = %d after one post-Reset event, want 1", e.Steps())
+	}
+}
+
+// TestNextEventAt pins NextEventAt semantics: it reports the earliest
+// live event without firing it, discards cancelled fronts, and goes
+// empty-false only when nothing remains.
+func TestNextEventAt(t *testing.T) {
+	e := New()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("empty engine reported a next event")
+	}
+	h1 := e.Schedule(100, func() {})
+	e.Schedule(500_000, func() {})
+	if at, ok := e.NextEventAt(); !ok || at != 100 {
+		t.Fatalf("NextEventAt = %v, %v; want 100, true", at, ok)
+	}
+	if e.Now() != 0 {
+		t.Fatalf("NextEventAt advanced the clock to %v", e.Now())
+	}
+	h1.Cancel()
+	if at, ok := e.NextEventAt(); !ok || at != 500_000 {
+		t.Fatalf("NextEventAt after cancel = %v, %v; want 500000, true", at, ok)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after NextEventAt passed a cancelled front, want 1", e.Pending())
+	}
+	e.Run()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("drained engine reported a next event")
+	}
+}
+
+// TestRunBeforeExcludesBound pins the strict inequality: an event
+// exactly at the bound stays pending, and the clock does not jump to
+// the bound.
+func TestRunBeforeExcludesBound(t *testing.T) {
+	e := New()
+	var fired []Time
+	e.Schedule(10, func() { fired = append(fired, e.Now()) })
+	e.Schedule(20, func() { fired = append(fired, e.Now()) })
+	e.Schedule(30, func() { fired = append(fired, e.Now()) })
+	if ran := e.RunBefore(20); ran != 1 {
+		t.Fatalf("RunBefore(20) ran %d events, want 1", ran)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock at %v after RunBefore(20), want 10 (no jump to bound)", e.Now())
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("%d pending after RunBefore, want 2", e.Pending())
+	}
+	e.Run()
+	if len(fired) != 3 || fired[2] != 30 {
+		t.Fatalf("fired = %v", fired)
+	}
+}
+
+// TestResetDropsPendingEvents schedules events microseconds, tens of
+// milliseconds and seconds out, fires one, and checks Reset recycles
+// every event still pending.
+func TestResetDropsPendingEvents(t *testing.T) {
+	e := New()
+	e.Schedule(1, func() {})
+	e.Schedule(50_000, func() {})
+	e.Schedule(10_000_000, func() {})
+	e.Step()
+	e.Schedule(2, func() {})
+	if e.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", e.Pending())
+	}
+	e.Reset()
+	if e.Pending() != 0 || e.Now() != 0 {
+		t.Fatalf("after Reset: pending=%d now=%v", e.Pending(), e.Now())
+	}
+	fired := 0
+	e.Schedule(5, func() { fired++ })
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("post-Reset engine fired %d events, want 1", fired)
+	}
+}
+
+// TestPropertyMatchesReferenceWithRunBefore drives the engine and the
+// reference heap (engine_arena_test.go) with identical random scripts of
+// schedules, cancels, steps and RunBefore bounds. Delays range from
+// exact ties through microseconds to seconds, plus repeats of the last
+// event's time to force (at, seq) tie-breaks. Fire order, the clock and
+// RunBefore's count must match the reference exactly.
+func TestPropertyMatchesReferenceWithRunBefore(t *testing.T) {
+	prop := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		ref := &refEngine{}
+		var fired []int
+		var handles []Handle
+		var refEvents []*refEvent
+		total := int(n)%96 + 16
+
+		schedule := func() {
+			var d Duration
+			switch rng.Intn(5) {
+			case 0:
+				d = Duration(rng.Intn(8))
+			case 1:
+				d = Duration(rng.Intn(2048))
+			case 2:
+				d = Duration(rng.Intn(131072))
+			case 3:
+				d = Duration(131072 + rng.Intn(10_000_000))
+			case 4:
+				if k := len(refEvents); k > 0 {
+					d = max(refEvents[k-1].at.Sub(e.Now()), 0)
+				}
+			}
+			id := len(handles)
+			handles = append(handles, e.Schedule(d, func() { fired = append(fired, id) }))
+			refEvents = append(refEvents, ref.schedule(d, id))
+		}
+
+		for i := 0; i < total; i++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3, 4, 5:
+				schedule()
+			case 6:
+				if len(handles) > 0 {
+					k := rng.Intn(len(handles))
+					handles[k].Cancel()
+					refEvents[k].cancel = true
+				}
+			case 7, 8:
+				if e.Step() != ref.step() {
+					return false
+				}
+			case 9:
+				// Half the bounds land exactly on a scheduled event's
+				// time, which must stay pending.
+				bound := e.Now().Add(Duration(rng.Intn(200_000)))
+				if k := len(refEvents); k > 0 && rng.Intn(2) == 0 {
+					bound = max(refEvents[rng.Intn(k)].at, e.Now())
+				}
+				if e.RunBefore(bound) != ref.runBefore(bound) {
+					return false
+				}
+			}
+			if e.Now() != ref.now {
+				return false
+			}
+		}
+		e.Run()
+		for ref.step() {
+		}
+		return e.Now() == ref.now && e.Pending() == 0 && slices.Equal(fired, ref.fired)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkRetransmitCancelHeavy models the reliable channel's timer
+// workload: every frame arms a retransmit timer ~1 RTT out and almost
+// all are cancelled by the ACK before firing. Each timer pays a sift on
+// insert, and each cancelled one stays in the heap until Run pops and
+// discards it.
+func BenchmarkRetransmitCancelHeavy(b *testing.B) {
+	e := New()
+	const window = 64
+	const rto = Duration(900) // ~1 RTT for a 5 KB frame at OC-3
+	fn := func() {}
+	handles := make([]Handle, 0, window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < window; j++ {
+			handles = append(handles, e.Schedule(rto+Duration(j), fn))
+		}
+		// ACKs arrive: cancel all but one timer, let the survivor fire.
+		for j, h := range handles {
+			if j != window/2 {
+				h.Cancel()
+			}
+		}
+		handles = handles[:0]
+		e.Run()
 	}
 }
