@@ -28,10 +28,13 @@ type Message struct {
 	data []byte
 }
 
-// Data returns the message payload. The slice is a copy for weak
-// semantics safety; strong semantics could expose the buffer directly,
-// but a uniform API keeps applications semantics-agnostic — the paper's
-// transparency goal.
+// Data returns the message payload. The bytes were copied out of the
+// simulated receive buffer at completion, so later I/O into that
+// buffer cannot change them (weak semantics safety under a uniform,
+// semantics-agnostic API — the paper's transparency goal). The copy
+// lives in a host buffer the endpoint reuses: it is valid until
+// Release, and Data returns nil after Release. Callers that keep the
+// payload longer must copy it.
 func (m *Message) Data() []byte { return m.data }
 
 // CompletedAt returns the simulated time the message became available;
@@ -41,8 +44,15 @@ func (m *Message) CompletedAt() float64 { return float64(m.in.CompletedAt) }
 // Err returns the message's delivery error, if any.
 func (m *Message) Err() error { return m.in.Err }
 
-// Release returns the receive buffer to the channel window.
-func (m *Message) Release() error { return m.ep.repost(m.in) }
+// Release returns the receive buffer to the channel window and the
+// payload's host buffer to the endpoint.
+func (m *Message) Release() error {
+	if m.data != nil {
+		m.ep.rxFree = append(m.ep.rxFree, m.data)
+		m.data = nil
+	}
+	return m.ep.repost(m.in)
+}
 
 // Endpoint is one end of a channel.
 type Endpoint struct {
@@ -72,6 +82,10 @@ type Endpoint struct {
 
 	rxBufs    []vm.Addr // receive buffers (application-allocated)
 	completed []*Message
+	// rxFree holds host buffers for message payloads. A buffer is in
+	// use from completion to Release and every message holds a posted
+	// receive until Release, so at most window buffers ever exist.
+	rxFree [][]byte
 }
 
 // NewChannel connects two processes (normally on different hosts of a
@@ -131,11 +145,14 @@ func (e *Endpoint) post(va vm.Addr) error {
 		return err
 	}
 	in.OnComplete(func(in *InputOp) {
-		data := make([]byte, in.N)
+		data := e.payloadBuf(in.N)
 		if in.Err == nil {
 			if err := e.p.Read(in.Addr, data); err != nil {
 				in.Err = err
 			}
+		}
+		if in.Err != nil {
+			clear(data)
 		}
 		m := &Message{ep: e, in: in, data: data}
 		if e.onMessage != nil {
@@ -145,6 +162,17 @@ func (e *Endpoint) post(va vm.Addr) error {
 		e.completed = append(e.completed, m)
 	})
 	return nil
+}
+
+// payloadBuf returns an n-byte host buffer for a message payload, reused
+// from a released message when one is free. Its contents are stale.
+func (e *Endpoint) payloadBuf(n int) []byte {
+	if k := len(e.rxFree); k > 0 {
+		b := e.rxFree[k-1]
+		e.rxFree = e.rxFree[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, e.bufSize)
 }
 
 // OnMessage installs a reactive handler invoked at message completion on

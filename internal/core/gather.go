@@ -85,7 +85,7 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 			data = appendTrailer(data)
 		}
 		g.launchOutput(op, prep,
-			func() (mem.Buf, error) { return data, nil },
+			func() (mem.Buf, netsim.Snapshot) { return data, netsim.Snapshot{} },
 			func() []charge { return []charge{{cost.BufDeallocate, total}} })
 		return op, nil
 	}
@@ -121,12 +121,12 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 		}
 	}
 
-	payload := func() (mem.Buf, error) {
+	payload := func() (mem.Buf, netsim.Snapshot) {
 		parts := make([]mem.Buf, len(refs))
 		for i, ref := range refs {
 			parts[i] = ref.DMAReadBuf(0, segs[i].Len)
 		}
-		return mem.Concat(parts...), nil
+		return mem.Concat(parts...), netsim.Snapshot{}
 	}
 	dispose := func() []charge {
 		var ch []charge

@@ -75,8 +75,8 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 
 	var (
 		prep    []charge
-		payload func() (mem.Buf, error) // runs at transmit time
-		dispose func() []charge         // runs at dispose time, returns its charges
+		payload txPayload       // runs at transmit time
+		dispose func() []charge // runs at dispose time, returns its charges
 	)
 
 	switch op.Effective {
@@ -90,7 +90,7 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 			return nil, err
 		}
 		prep = []charge{{cost.BufAllocate, length}, {cost.Copyin, length}}
-		payload = func() (mem.Buf, error) { return data, nil }
+		payload = func() (mem.Buf, netsim.Snapshot) { return data, netsim.Snapshot{} }
 		if withChecksum {
 			if g.cfg.Checksum == ChecksumIntegrated {
 				// Checksum folded into the copyin: one combined pass.
@@ -98,7 +98,7 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 			} else {
 				prep = append(prep, charge{cost.ChecksumRead, length})
 			}
-			payload = func() (mem.Buf, error) { return appendTrailer(data), nil }
+			payload = func() (mem.Buf, netsim.Snapshot) { return appendTrailer(data), netsim.Snapshot{} }
 		}
 		dispose = func() []charge { return []charge{{cost.BufDeallocate, length}} }
 
@@ -109,19 +109,18 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 		}
 		p.as.RemoveWrite(va, length) // TCOW protection (Section 5.1)
 		prep = []charge{{cost.Reference, length}, {cost.ReadOnly, length}}
-		payload = refPayload(ref, length)
+		payload = g.refPayload(ref, length)
 		if withChecksum {
 			// No copy exists to fold the checksum into: a separate
 			// read-only pass over the (TCOW-protected, hence stable)
 			// application pages.
 			prep = append(prep, charge{cost.ChecksumRead, length})
 			inner := payload
-			payload = func() (mem.Buf, error) {
-				data, err := inner()
-				if err != nil {
-					return mem.Buf{}, err
-				}
-				return appendTrailer(data), nil
+			payload = func() (mem.Buf, netsim.Snapshot) {
+				data, snap := inner()
+				framed := appendTrailer(data) // a copy: snap is free again
+				snap.Release()
+				return framed, netsim.Snapshot{}
 			}
 		}
 		dispose = func() []charge {
@@ -136,7 +135,7 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 		}
 		g.wireFrames(ref)
 		prep = []charge{{cost.Reference, length}, {cost.Wire, length}}
-		payload = refPayload(ref, length)
+		payload = g.refPayload(ref, length)
 		dispose = func() []charge {
 			g.unwireFrames(ref)
 			ref.Unreference()
@@ -149,7 +148,7 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 			return nil, err
 		}
 		prep = []charge{{cost.Reference, length}}
-		payload = refPayload(ref, length)
+		payload = g.refPayload(ref, length)
 		dispose = func() []charge {
 			ref.Unreference()
 			return []charge{{cost.Unreference, length}}
@@ -207,7 +206,7 @@ func (p *Process) outputSystemAllocated(op *OutputOp, port int, va vm.Addr, leng
 		prep = append(prep, charge{cost.Invalidate, length})
 	}
 
-	payload := refPayload(ref, length)
+	payload := g.refPayload(ref, length)
 	dispose := func() []charge {
 		var ch []charge
 		if sem == Move || sem == WeakMove {
@@ -240,19 +239,31 @@ func (p *Process) outputSystemAllocated(op *OutputOp, port int, va vm.Addr, leng
 	return op, nil
 }
 
+// txPayload produces an output's frame at transmit time. A non-zero
+// Snapshot lends the frame's storage and travels with it to the
+// receiver (see netsim.Snapshot).
+type txPayload func() (mem.Buf, netsim.Snapshot)
+
 // refPayload builds the transmit-time payload reader for in-place
 // output: the device DMAs from the referenced pages when the frame is
 // serialized, so weak-integrity semantics observe application overwrites
-// up to that moment.
-func refPayload(ref *vm.IORef, length int) func() (mem.Buf, error) {
-	return func() (mem.Buf, error) {
-		return ref.DMAReadBuf(0, length), nil
+// up to that moment. On the bytes plane the DMA lands in a buffer lent
+// by the adapter's snapshot free list; on the symbolic plane it is a
+// descriptor gather.
+func (g *Genie) refPayload(ref *vm.IORef, length int) txPayload {
+	return func() (mem.Buf, netsim.Snapshot) {
+		if ref.Symbolic() {
+			return ref.DMAReadBuf(0, length), netsim.Snapshot{}
+		}
+		snap := g.nic.NewSnapshot(length)
+		ref.DMARead(0, snap.Bytes())
+		return mem.BufBytes(snap.Bytes()), snap
 	}
 }
 
 // launchOutput charges prepare, schedules transmission after the prepare
 // latency, and hooks dispose to the adapter's completion callback.
-func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Buf, error), dispose func() []charge) {
+func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload txPayload, dispose func() []charge) {
 	if g.tr != nil {
 		op.span = g.tr.NewSpan()
 		g.tr.Emit(trace.Event{At: op.StartedAt, Phase: trace.Begin, Cat: trace.CatOp, Name: "output",
@@ -266,13 +277,8 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Bu
 			Port: op.Port, Bytes: op.Len, Span: op.span})
 	}
 	g.eng.Schedule(prepDur, func() {
-		data, err := payload()
-		if err != nil {
-			op.Err = err
-			op.Done = true
-			return
-		}
-		err = g.nic.TransmitDatagramBuf(op.Port, data, func() {
+		data, snap := payload()
+		err := g.nic.TransmitSnapshot(op.Port, data, snap, func() {
 			ch := dispose()
 			dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
 			op.SentAt = g.eng.Now()

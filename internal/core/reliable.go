@@ -95,7 +95,7 @@ type ReliableStats struct {
 // relPending is one unacknowledged data frame.
 type relPending struct {
 	seq      uint32
-	frame    []byte // full wire frame, reused verbatim by retransmits
+	frame    []byte // full wire frame, reused verbatim by retransmits; from Reliable.frames
 	attempts int
 	timer    sim.Handle
 	done     bool
@@ -115,6 +115,13 @@ type Reliable struct {
 	onSettled func(seq uint32, acked bool)
 	closed    bool
 	stats     ReliableStats
+
+	// frames holds wire-frame buffers of settled sends for reuse. Only
+	// a relPending references its frame, and Endpoint.Send copies the
+	// frame into simulated memory before returning, so a frame is free
+	// again once its send is acked or abandoned.
+	frames [][]byte
+	ack    [relHeaderLen]byte // scratch for building acks
 }
 
 // NewReliableChannel connects two processes with a reliable message
@@ -155,8 +162,11 @@ func (r *Reliable) Stats() ReliableStats { return r.stats }
 // abandoned.
 func (r *Reliable) Outstanding() int { return len(r.sendQ) }
 
-// OnDeliver installs the exactly-once delivery upcall. The payload
-// slice is owned by the callee.
+// OnDeliver installs the exactly-once delivery upcall. The payload is
+// a view into the received message's buffer, verified and parsed in
+// place: it is valid only until the upcall returns, and the buffer is
+// reused for later messages. Callers that keep the payload must copy
+// it.
 func (r *Reliable) OnDeliver(fn func(seq uint32, payload []byte)) { r.onDeliver = fn }
 
 // OnSettled installs an upcall fired once per sent frame when it leaves
@@ -190,7 +200,7 @@ func (r *Reliable) Send(payload []byte) (uint32, error) {
 	}
 	r.nextSeq++
 	seq := r.nextSeq
-	p := &relPending{seq: seq, frame: buildFrame(relData, seq, payload)}
+	p := &relPending{seq: seq, frame: buildFrame(r.frameBuf(relHeaderLen+len(payload)), relData, seq, payload)}
 	r.sendQ[seq] = p
 	r.stats.Sent++
 	r.transmit(p)
@@ -209,6 +219,7 @@ func (r *Reliable) transmit(p *relPending) {
 	if p.attempts >= r.cfg.MaxAttempts {
 		p.done = true
 		delete(r.sendQ, p.seq)
+		r.freeFrame(p)
 		r.stats.GaveUp++
 		if r.onSettled != nil {
 			r.onSettled(p.seq, false)
@@ -270,9 +281,8 @@ func (r *Reliable) onMessage(m *Message) {
 		} else {
 			r.seen[seq] = true
 			r.stats.Delivered++
-			payload := append([]byte(nil), data[relHeaderLen:relHeaderLen+n]...)
 			if r.onDeliver != nil {
-				r.onDeliver(seq, payload)
+				r.onDeliver(seq, data[relHeaderLen:relHeaderLen+n])
 			}
 		}
 		// Repost the window buffer before acking, and always ack — a
@@ -289,6 +299,7 @@ func (r *Reliable) onMessage(m *Message) {
 		p.done = true
 		p.timer.Cancel()
 		delete(r.sendQ, seq)
+		r.freeFrame(p)
 		r.stats.Acked++
 		if r.onSettled != nil {
 			r.onSettled(seq, true)
@@ -314,7 +325,7 @@ func (r *Reliable) sendAck(seq uint32, attempt int) {
 	if r.closed {
 		return
 	}
-	if _, err := r.ep.Send(buildFrame(relAck, seq, nil)); err != nil {
+	if _, err := r.ep.Send(buildFrame(r.ack[:], relAck, seq, nil)); err != nil {
 		if attempt < sendAckRetryLimit {
 			r.eng.Schedule(sim.Duration(ackRetryUS), func() { r.sendAck(seq, attempt+1) })
 		}
@@ -330,12 +341,30 @@ func (r *Reliable) instant(name string, bytes int) {
 	}
 }
 
-// buildFrame assembles a wire frame: header (type, pad, checksum, seq,
+// frameBuf returns an n-byte wire-frame buffer, reusing a settled
+// send's when it is large enough. Its contents are stale.
+func (r *Reliable) frameBuf(n int) []byte {
+	if k := len(r.frames); k > 0 && cap(r.frames[k-1]) >= n {
+		f := r.frames[k-1]
+		r.frames = r.frames[:k-1]
+		return f[:n]
+	}
+	return make([]byte, n)
+}
+
+// freeFrame returns a settled send's frame for reuse.
+func (r *Reliable) freeFrame(p *relPending) {
+	r.frames = append(r.frames, p.frame)
+	p.frame = nil
+}
+
+// buildFrame assembles a wire frame in f, which must be exactly
+// relHeaderLen+len(payload) bytes: header (type, pad, checksum, seq,
 // length) plus payload, with the checksum computed over the whole frame
 // with its own field zeroed.
-func buildFrame(ftype byte, seq uint32, payload []byte) []byte {
-	f := make([]byte, relHeaderLen+len(payload))
-	f[0] = ftype
+func buildFrame(f []byte, ftype byte, seq uint32, payload []byte) []byte {
+	f[0], f[1] = ftype, 0
+	binary.BigEndian.PutUint16(f[2:], 0)
 	binary.BigEndian.PutUint32(f[4:], seq)
 	binary.BigEndian.PutUint32(f[8:], uint32(len(payload)))
 	copy(f[relHeaderLen:], payload)

@@ -103,7 +103,8 @@ func (c *RPCClient) Outstanding() int { return len(c.pending) }
 
 // ServeRPC turns an endpoint into an RPC server: handler runs at request
 // arrival on the simulated clock and its return value is sent back with
-// the request's correlation id. Handler errors and send failures are
+// the request's correlation id. req is valid only until handler
+// returns; the reply may alias it. Handler errors and send failures are
 // reported through errFn (which may be nil).
 func ServeRPC(ep *Endpoint, handler func(req []byte) []byte, errFn func(error)) {
 	report := func(err error) {
@@ -128,14 +129,15 @@ func ServeRPC(ep *Endpoint, handler func(req []byte) []byte, errFn func(error)) 
 			n = len(data) - rpcHeaderLen
 		}
 		resp := handler(data[rpcHeaderLen : rpcHeaderLen+n])
-		// Release first: the reply consumes a send credit that the
-		// request's buffer repost frees on the requester's side, and the
-		// request data has already been copied out of the buffer.
-		report(m.Release())
+		// Frame the reply before Release: it may alias the request,
+		// whose bytes live in the message's buffer only until Release.
 		msg := make([]byte, rpcHeaderLen+len(resp))
 		binary.BigEndian.PutUint32(msg, id)
 		binary.BigEndian.PutUint32(msg[4:], uint32(len(resp)))
 		copy(msg[rpcHeaderLen:], resp)
+		// Release before sending: the reply consumes a send credit that
+		// the request's buffer repost frees on the requester's side.
+		report(m.Release())
 		if _, err := ep.Send(msg); err != nil {
 			report(fmt.Errorf("core: RPC response: %w", err))
 		}

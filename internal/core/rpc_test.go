@@ -128,3 +128,46 @@ func TestRPCLatency(t *testing.T) {
 		t.Errorf("RPC RTT: emulated copy %.0f not below copy %.0f", ec, c)
 	}
 }
+
+// TestServeRPCEchoReturnsRequest serves an echo handler that returns
+// its borrowed request slice unchanged, over three times as many calls
+// as the channel window holds, so requests arrive in recycled message
+// buffers. Every reply must carry its own request's bytes.
+func TestServeRPCEchoReturnsRequest(t *testing.T) {
+	for _, sem := range []Semantics{Copy, EmulatedCopy, EmulatedShare, EmulatedWeakMove} {
+		t.Run(sem.String(), func(t *testing.T) {
+			tb, err := NewTestbed(TestbedConfig{Buffering: netsim.EarlyDemux, FramesPerHost: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const window = 4
+			ec, es, err := NewChannel(tb.A.Genie.NewProcess(), tb.B.Genie.NewProcess(), 70, sem, 8192, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ServeRPC(es, func(req []byte) []byte { return req }, func(err error) { t.Errorf("server: %v", err) })
+			client := NewRPCClient(ec)
+			for batch := 0; batch < 3; batch++ {
+				var calls []*Call
+				var reqs [][]byte
+				for i := 0; i < window; i++ {
+					req := bytes.Repeat([]byte{byte(window*batch + i + 1)}, 200+i)
+					call, err := client.Go(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					calls, reqs = append(calls, call), append(reqs, req)
+				}
+				tb.Run()
+				for i, call := range calls {
+					if !call.Done || call.Err != nil {
+						t.Fatalf("batch %d call %d: done=%t err=%v", batch, i, call.Done, call.Err)
+					}
+					if !bytes.Equal(call.Reply, reqs[i]) {
+						t.Fatalf("batch %d call %d: reply %x... is not the request %x...", batch, i, call.Reply[:4], reqs[i][:4])
+					}
+				}
+			}
+		})
+	}
+}

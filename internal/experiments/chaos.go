@@ -212,7 +212,7 @@ func runChaosPoint(tb *core.Testbed, cfg ChaosConfig, scheme netsim.InputBufferi
 			g.count++
 			return
 		}
-		delivered[seq] = &rx{count: 1, data: payload}
+		delivered[seq] = &rx{count: 1, data: bytes.Clone(payload)} // the view dies with the upcall
 	})
 
 	sent := make(map[uint32][]byte, cfg.Messages)

@@ -175,9 +175,11 @@ func runsLen(runs []Run) int {
 // Bufs are values: Slice and Append never mutate their operands, and a
 // symbolic Buf never references frame storage — its runs stay valid no
 // matter what later happens to the frames the bytes were read from.
-// A bytes-backed Buf aliases the slice it was built from; producers
-// hand out freshly allocated slices on read paths, preserving the same
-// snapshot guarantee.
+// A bytes-backed Buf aliases the slice it was built from; the read
+// paths (Frame.ReadBuf, GatherFrames and their callers) hand out
+// freshly allocated slices, preserving the same snapshot guarantee.
+// Whoever builds a Buf over storage it reuses must bound the Buf's
+// lifetime itself (netsim.Snapshot does, on the transmit path).
 type Buf struct {
 	n     int
 	bytes []byte // materialized representation, nil when symbolic

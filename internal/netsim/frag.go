@@ -55,8 +55,18 @@ func (n *NIC) TransmitDatagram(port int, payload []byte, onSent func()) error {
 
 // TransmitDatagramBuf is TransmitDatagram for a data-plane buffer.
 func (n *NIC) TransmitDatagramBuf(port int, payload mem.Buf, onSent func()) error {
+	return n.TransmitSnapshot(port, payload, Snapshot{}, onSent)
+}
+
+// TransmitSnapshot is TransmitDatagramBuf for a payload held in snap's
+// storage (from NIC.NewSnapshot); the zero snap lends nothing. The call
+// hands snap over whatever its outcome: the adapters release it once
+// the frame has been copied out at the receiver or dropped, and leave
+// it to the garbage collector where the bytes may still be referenced
+// (see Snapshot) or the transmit fails.
+func (n *NIC) TransmitSnapshot(port int, payload mem.Buf, snap Snapshot, onSent func()) error {
 	if n.mtu <= 0 || payload.Len() <= n.mtu {
-		return n.TransmitBuf(port, payload, onSent)
+		return n.transmit(port, payload, snap, onSent)
 	}
 	if n.att == nil {
 		return ErrNotAttached

@@ -68,7 +68,9 @@ var (
 // buffer. DMA bypasses page tables and protections by definition.
 type DMATarget interface {
 	// DMAWrite stores data at byte offset off within the target. On the
-	// symbolic data plane the store is a descriptor splice.
+	// symbolic data plane the store is a descriptor splice. It must not
+	// keep data: the adapter may reuse a bytes-plane frame's storage
+	// once DMAWrite returns.
 	DMAWrite(off int, data mem.Buf)
 	// Len returns the target's capacity in bytes.
 	Len() int
@@ -132,9 +134,10 @@ type attachment interface {
 	// transmitOK reports whether src may send on port (a fabric needs a
 	// route; a link always can).
 	transmitOK(src *NIC, port int) error
-	// deliverFrame hands payload to the endpoint bound to (src, port)
-	// at absolute time at on the destination's clock.
-	deliverFrame(src *NIC, port int, payload mem.Buf, at sim.Time)
+	// deliverFrame hands payload, and snap if it lends the payload's
+	// storage, to the endpoint bound to (src, port) at absolute time at
+	// on the destination's clock.
+	deliverFrame(src *NIC, port int, payload mem.Buf, snap Snapshot, at sim.Time)
 	// deliverFragment does the same for one fragment of a datagram.
 	deliverFragment(src *NIC, f fragment, at sim.Time)
 }
@@ -157,6 +160,7 @@ type NIC struct {
 
 	busyUntil sim.Time // transmit-side serialization
 	corruptAt int      // fault injection: flip this payload byte next tx
+	snaps     snapshotPool
 	inj       *faults.Injector
 	stats     Stats
 	tr        *trace.Tracer
@@ -379,10 +383,16 @@ func (n *NIC) Transmit(port int, payload []byte, onSent func()) error {
 	return n.TransmitBuf(port, mem.BufBytes(payload), onSent)
 }
 
-// TransmitBuf is Transmit for a data-plane buffer. The buffer must be
-// an independent snapshot (all producers in this codebase hand those
-// out): delivery happens later on the simulated clock.
+// TransmitBuf is Transmit for a data-plane buffer. Delivery happens
+// later on the simulated clock, so the caller must not modify the
+// buffer's bytes afterwards; the adapters never modify them either.
 func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
+	return n.transmit(port, payload, Snapshot{}, onSent)
+}
+
+// transmit sends one AAL5 frame. A non-zero snap lends payload's
+// storage; the frame carries it to the receiver, which releases it.
+func (n *NIC) transmit(port int, payload mem.Buf, snap Snapshot, onSent func()) error {
 	if n.att == nil {
 		return ErrNotAttached
 	}
@@ -412,12 +422,16 @@ func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
 	deliver := n.busyUntil.Add(sim.Duration(n.att.wireFixedUS()))
 	payload, deliver, survives, dup := n.injectWire(port, payload, deliver)
 	if !survives {
+		snap.Release()
 		return nil
 	}
-	n.att.deliverFrame(n, port, payload, deliver)
 	if dup {
-		n.att.deliverFrame(n, port, payload, deliver.Add(sim.Duration(n.att.wireFixedUS())))
+		// The two deliveries share the bytes, so neither may recycle them.
+		n.att.deliverFrame(n, port, payload, Snapshot{}, deliver)
+		n.att.deliverFrame(n, port, payload, Snapshot{}, deliver.Add(sim.Duration(n.att.wireFixedUS())))
+		return nil
 	}
+	n.att.deliverFrame(n, port, payload, snap, deliver)
 	return nil
 }
 
@@ -431,12 +445,14 @@ const (
 )
 
 // receive runs at frame arrival and routes the payload according to the
-// input buffering architecture.
-func (n *NIC) receive(port int, payload mem.Buf) {
-	n.receiveAttempt(port, payload, 0)
+// input buffering architecture. snap, when non-zero, lends the payload's
+// storage: it is released once the payload has been copied into host
+// memory or the frame is dropped.
+func (n *NIC) receive(port int, payload mem.Buf, snap Snapshot) {
+	n.receiveAttempt(port, payload, snap, 0)
 }
 
-func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
+func (n *NIC) receiveAttempt(port int, payload mem.Buf, snap Snapshot, attempt int) {
 	if attempt == 0 {
 		n.stats.RxFrames++
 		n.stats.RxBytes += uint64(payload.Len())
@@ -450,6 +466,7 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
 			n.posted[port] = q[1:]
 			limit := min(payload.Len(), post.target.Len())
 			post.target.DMAWrite(0, payload.Slice(0, limit))
+			snap.Release()
 			if n.tr != nil {
 				n.tr.Emit(trace.Event{At: n.eng.Now(), Phase: trace.Instant, Cat: trace.CatNet,
 					Name: "net.rx.dma", Port: port, Bytes: limit})
@@ -462,20 +479,21 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
 		// No location information available: fall back to pooled overlay
 		// buffering if a pool exists (Section 6.2.2), else drop.
 		if n.pool == nil {
+			snap.Release()
 			n.drop(port, payload.Len())
 			return
 		}
-		if !n.intoPool(&pkt, port, payload, attempt) {
+		if !n.intoPool(&pkt, port, payload, snap, attempt) {
 			return
 		}
 
 	case Pooled:
-		if !n.intoPool(&pkt, port, payload, attempt) {
+		if !n.intoPool(&pkt, port, payload, snap, attempt) {
 			return
 		}
 
 	case OutboardBuffering:
-		if !n.intoOutboard(&pkt, port, payload, attempt) {
+		if !n.intoOutboard(&pkt, port, payload, snap, attempt) {
 			return
 		}
 	}
@@ -498,7 +516,7 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
 
 // intoPool places the payload into overlay pages, reporting false when
 // the frame was consumed by a drop or a deferred redelivery.
-func (n *NIC) intoPool(pkt *Packet, port int, payload mem.Buf, attempt int) bool {
+func (n *NIC) intoPool(pkt *Packet, port int, payload mem.Buf, snap Snapshot, attempt int) bool {
 	var frames []*mem.Frame
 	err := ErrPoolDepleted
 	if n.inj.DenyPool() {
@@ -508,21 +526,24 @@ func (n *NIC) intoPool(pkt *Packet, port int, payload mem.Buf, attempt int) bool
 	}
 	if err != nil {
 		n.stats.PoolFailures++
-		if n.deferReceive(port, payload, attempt) {
+		if n.deferReceive(port, payload, snap, attempt) {
 			return false
 		}
+		snap.Release()
 		n.drop(port, payload.Len())
 		return false
 	}
 	mem.ScatterFrames(frames, n.overlayOff, payload)
+	snap.Release()
 	pkt.Overlay = frames
 	pkt.OverlayOff = n.overlayOff
 	return true
 }
 
 // intoOutboard stages the payload in outboard memory, reporting false
-// when the frame was consumed by a drop or a deferred redelivery.
-func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, attempt int) bool {
+// when the frame was consumed by a drop or a deferred redelivery. A
+// staged payload keeps snap's storage: the staged buffer may alias it.
+func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, snap Snapshot, attempt int) bool {
 	var buf *OutboardBuffer
 	err := ErrOutboardFull
 	if n.inj.DenyPool() {
@@ -531,9 +552,10 @@ func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, attempt int) 
 		buf, err = n.outboard.Alloc(payload.Len())
 	}
 	if err != nil {
-		if n.deferReceive(port, payload, attempt) {
+		if n.deferReceive(port, payload, snap, attempt) {
 			return false
 		}
+		snap.Release()
 		n.drop(port, payload.Len())
 		return false
 	}
@@ -547,7 +569,7 @@ func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, attempt int) 
 // Bounded, so persistent exhaustion still surfaces as a drop; inert
 // without an injector, so fail-fast drop semantics of fault-free runs
 // are untouched.
-func (n *NIC) deferReceive(port int, payload mem.Buf, attempt int) bool {
+func (n *NIC) deferReceive(port int, payload mem.Buf, snap Snapshot, attempt int) bool {
 	if n.inj == nil || attempt >= rxRetryLimit {
 		return false
 	}
@@ -557,7 +579,7 @@ func (n *NIC) deferReceive(port int, payload mem.Buf, attempt int) bool {
 			Name: "net.rx.retry", Port: port, Bytes: payload.Len()})
 	}
 	n.eng.Schedule(sim.Duration(rxRetryDelayUS*float64(attempt+1)), func() {
-		n.receiveAttempt(port, payload, attempt+1)
+		n.receiveAttempt(port, payload, snap, attempt+1)
 	})
 	return true
 }
@@ -621,9 +643,9 @@ func (l *Link) peerOf(src *NIC) *NIC {
 
 func (l *Link) transmitOK(*NIC, int) error { return nil }
 
-func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, at sim.Time) {
+func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, snap Snapshot, at sim.Time) {
 	dst := l.peerOf(src)
-	l.eng.ScheduleAt(at, func() { dst.receive(port, payload) })
+	l.eng.ScheduleAt(at, func() { dst.receive(port, payload, snap) })
 }
 
 func (l *Link) deliverFragment(src *NIC, f fragment, at sim.Time) {

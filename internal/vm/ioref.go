@@ -222,12 +222,20 @@ func (ref *IORef) DMARead(off int, buf []byte) {
 	}
 }
 
-// DMAReadBuf is DMARead returning a buffer: a fresh materialized copy
+// Symbolic reports whether the referenced frames carry symbolic
+// contents (the symbolic data plane).
+func (ref *IORef) Symbolic() bool {
+	return len(ref.extents) > 0 && ref.extents[0].Frame.Symbolic()
+}
+
+// DMAReadBuf is DMARead returning a buffer: a freshly allocated copy
 // on the bytes plane, an O(#extents) run gather on the symbolic plane.
 // Either way the result is an independent snapshot — it stays valid
-// after the request's frames are released or overwritten.
+// after the request's frames are released or overwritten. Bytes-plane
+// callers that can bound the snapshot's lifetime DMARead into storage
+// they recycle instead (the network transmit path does).
 func (ref *IORef) DMAReadBuf(off, n int) mem.Buf {
-	if len(ref.extents) == 0 || !ref.extents[0].Frame.Symbolic() {
+	if !ref.Symbolic() {
 		out := make([]byte, n)
 		ref.DMARead(off, out)
 		return mem.BufBytes(out)
